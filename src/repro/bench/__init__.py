@@ -8,7 +8,6 @@ consumed by CI and tracked across PRs.
 """
 
 from repro.bench.harness import (
-    BACKEND_MIN_SPEEDUP,
     BenchResult,
     DECODE_SCHED_MIN_SPEEDUP,
     HISTORY_CAP,
@@ -33,7 +32,6 @@ from repro.bench.watchdog import (
 )
 
 __all__ = [
-    "BACKEND_MIN_SPEEDUP",
     "BenchResult",
     "DECODE_SCHED_MIN_SPEEDUP",
     "FAMILY_KEYS",

@@ -40,19 +40,12 @@ Scenario families:
   :class:`StatefulChatServer` with the packing cache on vs the FIFO
   rebuild-every-step baseline, serving identical multi-turn batched
   workloads (equivalence = token-identical outputs).
-- ``backend`` — the pluggable kernel/layout pair A/B
-  (:mod:`repro.backends`): a serving-shaped decode loop run through a
-  candidate backend's full allocator + packing-cache + decode-kernel
-  stack against the ``paged`` baseline's, with a three-way equivalence
-  matrix (candidate vs baseline vs the per-request oracle, plus the
-  backend's shared prefill/mixed entry points) folded into every
-  measurement.
 
 The ``prefill``/``mixed`` families carry both the vectorized kernel and
 the fully-ragged one (``ragged_multi_token_attention``); ragged scenarios
-are named ``*/ragged*`` and, together with the ``swap``, ``packing``,
-``decode_sched`` and (for ``paged-ring`` rows) ``backend`` families, are
-subject to the CI speedup floor (:func:`check_thresholds`).
+are named ``*/ragged*`` and, together with the ``swap``, ``packing`` and
+``decode_sched`` families, are subject to the CI speedup floor
+(:func:`check_thresholds`).
 
 Timings take the best of ``repeats`` runs (after one warmup) to suppress
 scheduler noise; all *structure* in the output — scenario list, shapes,
@@ -80,7 +73,6 @@ from repro.kernels import (
     single_token_attention,
     vectorized_multi_token_attention,
 )
-from repro.backends import get_backend
 from repro.core.server import StatefulChatServer
 from repro.kvcache.pages import BlockTable, PagePool
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
@@ -114,14 +106,6 @@ PACKING_MIN_SPEEDUP = 1.15
 #: so the observable floor is modest but must stay real.
 DECODE_SCHED_MIN_SPEEDUP = 1.1
 
-#: Floor for the ``backend`` family's ``paged-ring`` rows at long
-#: context: both sides run identical pack/gather bookkeeping and
-#: identical attention math, so the ring-compacted contiguous staging
-#: can only win the BLAS-operand-layout share of each step (measured
-#: ~1.3-1.4x at the gated ctx-512 shape).  ``contiguous`` rows are
-#: layout coverage (same kernels as ``paged``) and are not gated.
-BACKEND_MIN_SPEEDUP = 1.1
-
 #: How many historical run summaries ``BENCH_kernels.json`` retains.
 HISTORY_CAP = 200
 
@@ -132,7 +116,7 @@ class BenchResult:
 
     name: str
     #: decode | prefill | mixed | e2e | storage | swap | disk | idle |
-    #: packing | decode_sched | backend
+    #: packing | decode_sched
     family: str
     reference: str
     optimized: str
@@ -476,10 +460,7 @@ def bench_swap_restore(
     )
 
 
-def _e2e_model(
-    arch: str, num_layers: int, num_slots: int, seed: int,
-    backend: str = "paged",
-):
+def _e2e_model(arch: str, num_layers: int, num_slots: int, seed: int):
     if arch == "opt":
         config = tiny_opt_config(
             num_layers=num_layers, hidden_size=64, num_heads=8
@@ -489,7 +470,7 @@ def _e2e_model(
             num_layers=num_layers, hidden_size=64, num_heads=8, num_kv_heads=2
         )
     storage = KVStorage(config, num_slots=num_slots, dtype=np.float64)
-    model = PagedTransformer(config, storage, seed=seed, backend=backend)
+    model = PagedTransformer(config, storage, seed=seed)
     return config, storage, model
 
 
@@ -501,7 +482,6 @@ def bench_e2e(
     num_layers: int,
     repeats: int,
     seed: int,
-    backend: str = "paged",
 ) -> BenchResult:
     """Full forward steps: vectorized fast paths vs the per-layer baseline.
 
@@ -512,9 +492,7 @@ def bench_e2e(
     rng = np.random.default_rng(seed)
     ctx_lens = list(prefill_lens) + [ctx for ctx in decode_ctxs]
     num_slots = int(sum(ctx_lens))
-    config, storage, model = _e2e_model(
-        arch, num_layers, num_slots, seed, backend=backend
-    )
+    config, storage, model = _e2e_model(arch, num_layers, num_slots, seed)
     # Pre-existing context state for the decode requests.
     storage.k[:] = rng.standard_normal(storage.k.shape)
     storage.v[:] = rng.standard_normal(storage.v.shape)
@@ -998,198 +976,6 @@ def bench_pack_cost(
     )
 
 
-def bench_backend_decode(
-    name: str,
-    backend_name: str,
-    batch: int,
-    ctx: int,
-    steps: int,
-    num_heads: int,
-    kv_heads: int,
-    head_dim: int,
-    repeats: int,
-    seed: int,
-    page_size: int = 16,
-) -> BenchResult:
-    """Decode-loop A/B: the ``paged`` baseline vs backend ``backend_name``.
-
-    Both sides run the same serving-shaped loop through their backend's
-    *full* kernel/layout pair: tables come from the backend's allocator,
-    each step appends one token per conversation, writes its K/V into
-    flat storage at whatever slot the layout chose, packs through the
-    backend's decode cache and attends through its decode kernel.  K/V
-    values are keyed by (conversation, position) — never by slot — so
-    backends with different slot layouts (``contiguous`` extents vs
-    scattered pages) still must produce identical attention outputs.
-
-    Equivalence is a cross-backend matrix folded into ``max_abs_diff``:
-    the candidate loop vs the ``paged`` loop, the candidate loop vs the
-    per-request oracle (``single_token_attention`` over explicit slot
-    lists), and the backend's shared prefill/mixed entry points vs the
-    per-request ``multi_token_attention`` oracle — every ``--backend``
-    choice is re-proven numerically inside the measurement itself.
-    """
-    rng = np.random.default_rng(seed)
-    tokens_per_conv = ctx + steps
-    reserve_tokens = -(-tokens_per_conv // page_size) * page_size
-    num_pages = batch * (reserve_tokens // page_size)
-    keys = rng.standard_normal((batch, tokens_per_conv, kv_heads, head_dim))
-    vals = rng.standard_normal((batch, tokens_per_conv, kv_heads, head_dim))
-    queries = rng.standard_normal((steps, batch, num_heads, head_dim))
-
-    state: Dict[str, object] = {}
-
-    def make_setup(backend_key: str) -> Callable[[], None]:
-        def setup() -> None:
-            backend = get_backend(backend_key)
-            pool = PagePool(num_pages, page_size)
-            allocator = backend.create_allocator(
-                pool, reserve_tokens=reserve_tokens, max_tables=batch
-            )
-            k_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
-            v_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
-            tables = []
-            for i in range(batch):
-                table = allocator.new_table()
-                table.append_tokens(ctx)
-                slots = table.slots_array(0, ctx)
-                k_cache[slots] = keys[i, :ctx]
-                v_cache[slots] = vals[i, :ctx]
-                tables.append(table)
-            state["backend"] = backend
-            state["tables"] = tables
-            state["cache"] = backend.create_decode_cache()
-            state["k"] = k_cache
-            state["v"] = v_cache
-
-        return setup
-
-    def append_step(step: int) -> None:
-        tables = state["tables"]
-        k_cache, v_cache = state["k"], state["v"]
-        pos = ctx + step
-        for i, table in enumerate(tables):
-            table.append_tokens(1)
-            slot = table.slot(pos)
-            k_cache[slot] = keys[i, pos]
-            v_cache[slot] = vals[i, pos]
-
-    def run_loop() -> List[np.ndarray]:
-        backend = state["backend"]
-        tables, cache = state["tables"], state["cache"]
-        k_cache, v_cache = state["k"], state["v"]
-        outs: List[np.ndarray] = []
-        for step in range(steps):
-            append_step(step)
-            packed = cache.pack(
-                [DecodeSlotSource(key=i, table=t) for i, t in enumerate(tables)]
-            )
-            outs.append(
-                backend.decode_attention(queries[step], packed, 0, k_cache, v_cache)
-            )
-        return outs
-
-    def oracle_loop() -> List[np.ndarray]:
-        tables = state["tables"]
-        k_cache, v_cache = state["k"], state["v"]
-        outs: List[np.ndarray] = []
-        for step in range(steps):
-            append_step(step)
-            requests = [
-                AttentionRequest(
-                    query=queries[step, i : i + 1],
-                    slots=table.slots_array(0, table.length),
-                )
-                for i, table in enumerate(tables)
-            ]
-            outs.append(
-                np.concatenate(single_token_attention(requests, k_cache, v_cache))
-            )
-        return outs
-
-    ref_setup = make_setup("paged")
-    opt_setup = make_setup(backend_name)
-
-    # Equivalence matrix: candidate vs baseline vs per-request oracle,
-    # each on identically-valued (conversation, position) KV state.
-    ref_setup()
-    ref_outs = run_loop()
-    opt_setup()
-    opt_outs = run_loop()
-    opt_setup()
-    oracle_outs = oracle_loop()
-    max_abs_diff = max(
-        _max_diff(ref_outs, opt_outs),
-        _max_diff(opt_outs, oracle_outs),
-    )
-
-    # The shared prefill/mixed entry points route through the same
-    # backend object in serving — prove them against the per-request
-    # oracle inside the same measurement.
-    opt_backend = get_backend(backend_name)
-    mix_rng = np.random.default_rng(seed + 1)
-    mix_slots = 4 * 32
-    mk, mv = _make_cache(mix_rng, mix_slots, kv_heads, head_dim)
-    prefill_reqs = _make_requests(
-        mix_rng, mix_slots, [8] * 4, [32] * 4, num_heads, head_dim
-    )
-    mixed_reqs = _make_requests(
-        mix_rng, mix_slots, [4, 4, 1, 1], [24] * 4, num_heads, head_dim
-    )
-    max_abs_diff = max(
-        max_abs_diff,
-        _max_diff(
-            multi_token_attention(prefill_reqs, mk, mv),
-            opt_backend.multi_token_attention(prefill_reqs, mk, mv),
-        ),
-        _max_diff(
-            multi_token_attention(mixed_reqs, mk, mv),
-            opt_backend.ragged_attention(mixed_reqs, mk, mv),
-        ),
-    )
-
-    # Interleave the timed pairs rather than running all-reference then
-    # all-candidate: the two loops differ only in the staging layout, so
-    # CPU-contention drift across the measurement window would otherwise
-    # land entirely on one side of the ratio.
-    ref_setup()
-    run_loop()
-    opt_setup()
-    run_loop()
-    reference_s = optimized_s = float("inf")
-    for _ in range(repeats):
-        ref_setup()
-        start = time.perf_counter()
-        run_loop()
-        reference_s = min(reference_s, time.perf_counter() - start)
-        opt_setup()
-        start = time.perf_counter()
-        run_loop()
-        optimized_s = min(optimized_s, time.perf_counter() - start)
-
-    # Whatever the backend, its cache must have run in the incremental
-    # regime: every row built once, every later step an in-place extend.
-    stats = state["cache"].stats
-    assert stats["rebuilt_rows"] == batch, (
-        f"{name}: backend cache rebuilt rows mid-loop ({stats})"
-    )
-    assert stats["extended_rows"] == (steps - 1) * batch, (
-        f"{name}: backend cache fell out of the extend path ({stats})"
-    )
-
-    return _result(
-        name,
-        "backend",
-        "paged decode loop [block tables + packed staging]",
-        f"{backend_name} decode loop [{opt_backend.summary}]",
-        batch=batch,
-        tokens_per_call=batch * steps,
-        reference_s=reference_s,
-        optimized_s=optimized_s,
-        max_abs_diff=max_abs_diff,
-    )
-
-
 def bench_decode_sched(
     name: str,
     num_convs: int,
@@ -1200,7 +986,6 @@ def bench_decode_sched(
     seed: int,
     opt_packing_cache: bool = True,
     opt_decode_sched: str = "page-aware",
-    opt_backend: str = "paged",
 ) -> BenchResult:
     """End-to-end A/B: page-aware scheduling + packing cache vs FIFO rebuild.
 
@@ -1260,7 +1045,6 @@ def bench_decode_sched(
             config,
             packing_cache=opt_packing_cache,
             decode_sched=opt_decode_sched,
-            backend=opt_backend,
             **caps,
         )
 
@@ -1282,8 +1066,7 @@ def bench_decode_sched(
     opt_label = (
         f"{opt_decode_sched} order, "
         f"{'incremental pack' if opt_packing_cache else 'per-step rebuild'} "
-        f"[packing_cache={'on' if opt_packing_cache else 'off'}, "
-        f"backend={opt_backend}]"
+        f"[packing_cache={'on' if opt_packing_cache else 'off'}]"
     )
 
     tokens = num_convs * turns * (prompt_len + new_tokens)
@@ -1312,7 +1095,6 @@ def run_all(
     tracer=None,
     packing_cache: bool = True,
     decode_sched: str = "page-aware",
-    backend: str = "paged",
 ) -> List[BenchResult]:
     """Run the benchmark suite and return results in deterministic order.
 
@@ -1322,13 +1104,11 @@ def run_all(
     span per scenario (the bench is a real-time workload, so its trace
     time axis is wall seconds).
 
-    ``packing_cache``/``decode_sched``/``backend`` mirror the CLI flags:
-    they configure the *optimized* side of the transformer/server-based
-    scenarios (``e2e`` and ``decode_sched``), letting experiments toggle
-    each half of the optimization independently (the kernel-level
-    ``packing`` scenarios always measure the cache itself and are
-    unaffected).  The ``backend`` family always runs its fixed A/B matrix
-    regardless of the flag, so every run records all registered backends.
+    ``packing_cache``/``decode_sched`` mirror the CLI flags: they
+    configure the *optimized* server of the ``decode_sched`` A/B, letting
+    experiments toggle each half of the optimization independently (the
+    kernel-level ``packing`` scenarios always measure the cache itself and
+    are unaffected).
     """
     r = repeats if repeats is not None else (5 if quick else 9)
     heads, head_dim = 8, 64
@@ -1447,14 +1227,12 @@ def run_all(
             run(
                 bench_e2e,
                 f"e2e/{arch}/decode-b8", arch, [], [e2e_ctx] * 8, layers, r, seed,
-                backend=backend,
             )
         )
     results.append(
         run(
             bench_e2e,
             "e2e/llama/mixed-b6", "llama", [q, q], [e2e_ctx] * 4, layers, r, seed,
-            backend=backend,
         )
     )
 
@@ -1571,45 +1349,8 @@ def run_all(
             seed=seed,
             opt_packing_cache=packing_cache,
             opt_decode_sched=decode_sched,
-            opt_backend=backend,
         )
     )
-
-    # --- backend: pluggable kernel/layout pair A/B ----------------------
-    # The gated ``paged-ring`` shape (ctx 512, batch 8, head_dim 128) is
-    # where the per-step staged-KV copies the ring layout eliminates are
-    # the dominant share of each decode step (copy bytes scale with
-    # ``kv_heads * head_dim``; the softmax cost does not), so the win
-    # clears the floor with margin even on noisy runners.  The
-    # ``contiguous`` row runs the same kernels as ``paged`` over a
-    # different slot layout — equivalence/layout coverage, not a gated
-    # speedup — and the full-mode ``b4`` ring row sits below the gating
-    # batch on purpose (small-batch coverage).
-    backend_steps = 32
-    backend_r = max(r, 7)
-    results.append(
-        run(
-            bench_backend_decode,
-            "backend/paged-ring/b8-c512-d128",
-            "paged-ring", 8, 512, backend_steps, heads, 2, 128, backend_r, seed,
-        )
-    )
-    results.append(
-        run(
-            bench_backend_decode,
-            "backend/contiguous/b8-c128-d8",
-            "contiguous", 8, 128, backend_steps, heads, 2, 8, backend_r, seed,
-        )
-    )
-    if not quick:
-        results.append(
-            run(
-                bench_backend_decode,
-                "backend/paged-ring/b4-c512-d128",
-                "paged-ring", 4, 512, backend_steps, heads, 2, 128, backend_r,
-                seed,
-            )
-        )
     return results
 
 
@@ -1622,23 +1363,17 @@ def check_thresholds(
 
     The ragged-kernel scenarios and the coalesced-swap family at
     ``batch >= min_batch`` must each beat ``min_speedup``; the
-    ``packing`` family must beat :data:`PACKING_MIN_SPEEDUP`, the
+    ``packing`` family must beat :data:`PACKING_MIN_SPEEDUP` and the
     end-to-end ``decode_sched`` A/B must beat
-    :data:`DECODE_SCHED_MIN_SPEEDUP`, and the ``backend`` family's
-    ``paged-ring`` rows must beat :data:`BACKEND_MIN_SPEEDUP` (those
-    paths share the attention / MLP math, so the floors are lower but
-    still real).  Anything below is a perf regression.  Returns
-    human-readable failure lines (empty list = pass).  Other families
-    (decode/e2e/storage, the vectorized-kernel rows and the ungated
-    ``contiguous`` backend rows) are tracked but not gated here.
+    :data:`DECODE_SCHED_MIN_SPEEDUP` (both paths share the attention /
+    MLP math, so those floors are lower but still real).  Anything below
+    is a perf regression.  Returns human-readable failure lines (empty
+    list = pass).  Other families (decode/e2e/storage and the
+    vectorized-kernel rows) are tracked but not gated here.
     """
     failures = []
     for x in results:
-        if x.family == "backend":
-            if not x.optimized.startswith("paged-ring "):
-                continue
-            floor = BACKEND_MIN_SPEEDUP
-        elif x.family == "decode_sched":
+        if x.family == "decode_sched":
             floor = DECODE_SCHED_MIN_SPEEDUP
         elif x.family == "packing":
             floor = PACKING_MIN_SPEEDUP
@@ -1674,18 +1409,6 @@ def summarize(results: Sequence[BenchResult]) -> Dict[str, object]:
         "idle_restore_speedup": round(best("idle"), 2),
         "packing_best_speedup": round(best("packing"), 2),
         "decode_sched_speedup": round(best("decode_sched"), 2),
-        "backend_best_speedup": round(
-            max(
-                (
-                    x.speedup
-                    for x in results
-                    if x.family == "backend"
-                    and x.optimized.startswith("paged-ring ")
-                ),
-                default=0.0,
-            ),
-            2,
-        ),
         "all_equivalent": all(x.equivalent for x in results),
         "thresholds_ok": not check_thresholds(results),
     }
@@ -1746,7 +1469,6 @@ def write_json(
             "min_batch": MIN_THRESHOLD_BATCH,
             "packing_min_speedup": PACKING_MIN_SPEEDUP,
             "decode_sched_min_speedup": DECODE_SCHED_MIN_SPEEDUP,
-            "backend_min_speedup": BACKEND_MIN_SPEEDUP,
             "failures": check_thresholds(results),
         },
         "summary": summarize(results),
@@ -1784,8 +1506,7 @@ def format_table(results: Sequence[BenchResult]) -> str:
         f"disk {summary['disk_best_speedup']}x, "
         f"idle {summary['idle_restore_speedup']}x, "
         f"packing {summary['packing_best_speedup']}x, "
-        f"decode_sched {summary['decode_sched_speedup']}x, "
-        f"backend(ring) {summary['backend_best_speedup']}x; "
+        f"decode_sched {summary['decode_sched_speedup']}x; "
         f"equivalence {'OK' if summary['all_equivalent'] else 'FAILED'} "
         f"(tolerance {TOLERANCE})"
     )

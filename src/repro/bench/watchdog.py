@@ -50,7 +50,6 @@ FAMILY_KEYS: Dict[str, str] = {
     "idle": "idle_restore_speedup",
     "packing": "packing_best_speedup",
     "decode_sched": "decode_sched_speedup",
-    "backend": "backend_best_speedup",
 }
 
 #: current/median below this is at least a warning (5% noise band).

@@ -67,9 +67,7 @@ def _fault_plan(args: argparse.Namespace):
 
 
 def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
-                    disk_tokens: int = 0, decode_sched: str = "fifo",
-                    packing_cache: bool = True, backend: str = "paged",
-                    backend_explicit: bool = False):
+                    disk_tokens: int = 0, decode_sched: str = "fifo"):
     from repro.core.engine import PensieveEngine
     from repro.gpu.device import A100_80GB
     from repro.serving.stateless import make_tensorrt_llm, make_vllm
@@ -88,14 +86,6 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         raise SystemExit(
             "--decode-sched requires a stateful system (pensieve, pensieve-gpu)"
         )
-    if backend != "paged" and system not in stateful:
-        if backend_explicit:
-            raise SystemExit(
-                "--backend requires a stateful system (pensieve, pensieve-gpu)"
-            )
-        # REPRO_BACKEND is a process-wide default; stateless baselines
-        # model no KV backend, so it quietly does not apply to them.
-        backend = "paged"
     if system == "vllm":
         return lambda loop: make_vllm(loop, config, A100_80GB)
     if system in ("trt", "tensorrt", "tensorrt-llm"):
@@ -104,14 +94,12 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         return lambda loop: PensieveEngine(
             loop, config, A100_80GB, fault_plan=fault_plan,
             disk_cache_tokens=disk_tokens, decode_sched=decode_sched,
-            packing_cache=packing_cache, backend=backend,
         )
     if system in ("pensieve-gpu", "pensieve-gpu-cache"):
         return lambda loop: PensieveEngine(
             loop, config, A100_80GB, cpu_cache_tokens=0,
             fault_plan=fault_plan, disk_cache_tokens=disk_tokens,
-            decode_sched=decode_sched, packing_cache=packing_cache,
-            backend=backend,
+            decode_sched=decode_sched,
         )
     raise SystemExit(
         f"unknown system {system!r}; choose from vllm, tensorrt-llm, "
@@ -231,7 +219,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
         seed=args.seed,
         decode_sched=args.decode_sched,
         packing_cache=args.packing_cache == "on",
-        backend=args.backend,
     )
     if args.system_prompt:
         server.set_system_prompt(args.system_prompt)
@@ -331,10 +318,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     engine, stats = run_serving_once(
         _engine_factory(args.system, config, fault_plan,
                         disk_tokens=args.disk_tokens,
-                        decode_sched=args.decode_sched,
-                        packing_cache=args.packing_cache == "on",
-                        backend=_resolve_backend_arg(args),
-                        backend_explicit=args.backend is not None),
+                        decode_sched=args.decode_sched),
         conversations,
         until=args.duration,
         warmup=args.duration * 0.3,
@@ -377,10 +361,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         hist, flight = HistogramSet(), FlightRecorder()
     points = run_rate_sweep(
         _engine_factory(args.system, config, disk_tokens=args.disk_tokens,
-                        decode_sched=args.decode_sched,
-                        packing_cache=args.packing_cache == "on",
-                        backend=_resolve_backend_arg(args),
-                        backend_explicit=args.backend is not None),
+                        decode_sched=args.decode_sched),
         dataset,
         rates=args.rates,
         duration=args.duration,
@@ -487,7 +468,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         quick=args.quick, seed=args.seed, repeats=args.repeats, tracer=tracer,
         packing_cache=args.packing_cache == "on",
         decode_sched=args.decode_sched,
-        backend=_resolve_backend_arg(args),
     )
     print(format_table(results))
     if args.check_history:
@@ -614,49 +594,27 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _add_sched_flags(parser: argparse.ArgumentParser, default_sched: str) -> None:
-    """The decode-scheduling / packing-cache knob pair.
+    """The decode-scheduling policy.
 
     ``--decode-sched fifo`` is the paper-faithful arrival-order policy;
     ``page-aware`` orders decode candidates by GPU page residency and
-    packing-cache row occupancy.  ``--packing-cache`` toggles the
-    incremental slot-table packing cache; outputs are identical either
-    way (the knobs only move work, never change results).
+    packing-cache row occupancy.  Outputs are identical either way (the
+    knob only moves work, never changes results).
     """
     parser.add_argument("--decode-sched", choices=("fifo", "page-aware"),
                         default=default_sched,
                         help="decode scheduling policy: arrival order (fifo) "
                              "or GPU-page-residency order (page-aware); "
                              f"default {default_sched}")
+
+
+def _add_packing_cache_flag(parser: argparse.ArgumentParser) -> None:
+    """The functional server's incremental decode packing cache toggle
+    (outputs are identical either way)."""
     parser.add_argument("--packing-cache", choices=("on", "off"),
                         default="on",
                         help="incremental decode slot-table packing cache "
                              "(default on)")
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """The kernel/allocator backend selector (see :mod:`repro.backends`).
-
-    All backends are numerically equivalent (the bench harness enforces
-    a ≤1e-6 cross-backend equivalence matrix); they differ in staging
-    layout and slot allocation, i.e. in performance and fragmentation
-    profile.
-    """
-    parser.add_argument("--backend",
-                        choices=("paged", "paged-ring", "contiguous"),
-                        default=None,
-                        help="kernel/allocator backend: paged (block tables "
-                             "+ natural-layout staging), paged-ring (ring-"
-                             "compacted contiguous staging), or contiguous "
-                             "(vAttention-style virtual extents); default: "
-                             "$REPRO_BACKEND, else paged")
-
-
-def _resolve_backend_arg(args: argparse.Namespace) -> str:
-    """Effective backend for commands that need the name eagerly
-    (explicit flag > REPRO_BACKEND env > paged)."""
-    from repro.backends import resolve_backend
-
-    return resolve_backend(getattr(args, "backend", None))
 
 
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
@@ -699,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--system-prompt", default="")
     chat.add_argument("--seed", type=int, default=0)
     _add_sched_flags(chat, default_sched="page-aware")
-    _add_backend_flag(chat)
+    _add_packing_cache_flag(chat)
     _add_slo_flags(chat)
     chat.set_defaults(func=cmd_chat)
 
@@ -725,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="record full telemetry and write the trace "
                                "artifacts (Chrome JSON, JSONL, text) here")
     _add_sched_flags(simulate, default_sched="fifo")
-    _add_backend_flag(simulate)
     _add_slo_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -743,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the NVMe-modeled disk tier with this "
                             "many KV-tokens of capacity (stateful systems)")
     _add_sched_flags(sweep, default_sched="fifo")
-    _add_backend_flag(sweep)
     _add_slo_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -774,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "history ledger (pass/warn/fail report; "
                             "non-gating)")
     _add_sched_flags(bench, default_sched="page-aware")
-    _add_backend_flag(bench)
+    _add_packing_cache_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser(

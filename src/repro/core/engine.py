@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.backends import backend_names
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import GpuSpec
 from repro.gpu.nvme import NvmeEngine
@@ -100,17 +99,6 @@ class PensieveEngine(EngineBase):
             cheap re-admissions fill the batch before deep swap-ins.
             Reordering is window-bounded, so requests beyond the window
             keep strict FIFO order.
-        packing_cache: record whether the functional layer's incremental
-            decode packing cache is enabled.  The discrete-event engine
-            carries the flag for experiment metadata and CLI symmetry
-            only — its cost model prices kernel *shapes*, which the
-            packing cache does not change.
-        backend: which kernel/allocator backend the functional layer
-            would run (see :mod:`repro.backends`).  Carried for
-            experiment metadata and CLI symmetry only, like
-            ``packing_cache``: backends are numerically equivalent and
-            the cost model prices kernel shapes, which no backend
-            changes.
         name: engine label override.
         fault_plan: optional seeded failure schedule (chaos runs); the
             engine recovers along the retry → recompute-fallback →
@@ -137,8 +125,6 @@ class PensieveEngine(EngineBase):
         pipelined_swap_in: bool = True,
         prioritize_retrieval: bool = True,
         decode_sched: str = "fifo",
-        packing_cache: bool = True,
-        backend: str = "paged",
         name: Optional[str] = None,
         keep_trace: bool = False,
         whole_conversation_eviction: bool = False,
@@ -159,12 +145,6 @@ class PensieveEngine(EngineBase):
                 f"got {decode_sched!r}"
             )
         self.decode_sched = decode_sched
-        self.packing_cache = packing_cache
-        if backend not in backend_names():
-            raise ValueError(
-                f"backend must be one of {backend_names()}, got {backend!r}"
-            )
-        self.backend = backend
 
         kv = config.kv_bytes_per_token
         gpu_tokens = int(spec.kv_cache_bytes * config.num_gpus // kv)

@@ -37,7 +37,6 @@ from repro.faults import (
     RetryPolicy,
     attempt_with_retries,
 )
-from repro.backends import Backend, SlotAllocator, get_backend, resolve_backend
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     EvictionScorer,
@@ -97,12 +96,9 @@ class StatefulChatServer:
             swapped-out newcomers sort by GPU page residency;
             ``"fifo"`` preserves the caller's order.  With greedy
             sampling both produce identical per-conversation outputs.
-        backend: kernel/allocator backend name (see
-            :mod:`repro.backends`).  ``None`` falls back to the
-            ``REPRO_BACKEND`` environment variable, then ``"paged"``.
-            All backends are numerically equivalent (≤1e-6, enforced in
-            the bench harness); they differ in staging layout and slot
-            allocation.
+        backend: kernel/layout pair; ``"paged"`` (block tables under
+            the packed decode cache) is the only one (ARCHITECTURE.md
+            §15).
     """
 
     #: Legal ``decode_sched`` policies.
@@ -127,7 +123,7 @@ class StatefulChatServer:
         use_fast_paths: bool = True,
         packing_cache: bool = True,
         decode_sched: str = "page-aware",
-        backend: Optional[str] = None,
+        backend: str = "paged",
         tracer: Optional[NullTracer] = None,
     ) -> None:
         if decode_sched not in self.DECODE_SCHEDS:
@@ -136,8 +132,8 @@ class StatefulChatServer:
                 f"got {decode_sched!r}"
             )
         self.decode_sched = decode_sched
-        self.backend_name = resolve_backend(backend)
-        self._backend: Backend = get_backend(self.backend_name)
+        if backend != "paged":
+            raise ValueError(f"backend must be 'paged', got {backend!r}")
         if chunk_size % page_size != 0:
             raise ValueError(
                 f"chunk_size ({chunk_size}) must be a multiple of "
@@ -153,19 +149,6 @@ class StatefulChatServer:
         self.pool = PagePool(
             num_pages=pool_tokens // page_size, page_size=page_size
         )
-        # The backend owns slot layout: paged backends hand out plain
-        # pool-backed tables; the contiguous backend reserves one virtual
-        # extent per conversation (sized so `max_position` always fits,
-        # making reservation overflow unreachable in serving) plus one
-        # for the pinned system prompt.  Either way, physical capacity is
-        # accounted against the shared pool, so pressure surfaces as the
-        # same PagePoolExhausted the swap machinery already handles.
-        reserve_tokens = -(-self.config.max_position // page_size) * page_size
-        self._allocator: SlotAllocator = self._backend.create_allocator(
-            self.pool,
-            reserve_tokens=reserve_tokens,
-            max_tables=max_conversations + 1,
-        )
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         #: Degradation counters (same schema as the simulated engine's
@@ -174,7 +157,7 @@ class StatefulChatServer:
         #: Structured errors of individually-failed requests, in order.
         self.failures: List[RequestFaultedError] = []
         self.storage = KVStorage(
-            self.config, num_slots=self._allocator.storage_slots
+            self.config, num_slots=self.pool.capacity_tokens
         )
         self.cpu_store = CpuChunkStore(
             cpu_capacity_tokens,
@@ -192,7 +175,6 @@ class StatefulChatServer:
             seed=seed,
             use_fast_paths=use_fast_paths,
             packing_cache=packing_cache,
-            backend=self._backend,
         )
         self.tokenizer = tokenizer or SimpleTokenizer(self.config.vocab_size)
         self.manager = TieredCacheManager(
@@ -421,7 +403,7 @@ class StatefulChatServer:
         plan = self.manager.plan_restore(self.SYSTEM_CONV_ID, len(ids))
         self.manager.commit_restore(plan, 0.0)
 
-        table = self._allocator.new_table()
+        table = BlockTable(self.pool)
         table.append_tokens(len(ids))
         self._tables[self.SYSTEM_CONV_ID] = table
         self._system_slots = table.slots(0, len(ids))
@@ -638,7 +620,7 @@ class StatefulChatServer:
         history = self.raw_tokens.setdefault(conv_id, [])
         table = self._tables.get(conv_id)
         if table is None:
-            table = self._tables.setdefault(conv_id, self._allocator.new_table())
+            table = self._tables[conv_id] = BlockTable(self.pool)
 
         # Pin first so capacity-making below cannot evict this
         # conversation's own chunks out from under the plan.

@@ -39,16 +39,14 @@ the paper discusses:
   block-table version counters), and
   :func:`~repro.kernels.packed_cache.packed_decode_attention` runs the
   same segment-masked decode math over the staged buffers;
-- :mod:`~repro.kernels.ring_cache` — the ``paged-ring`` backend's
-  layout variant: :class:`~repro.kernels.ring_cache.RingDecodeCache`
-  stages the packed batch score-ready (context-last K, head-last V) so
-  :func:`~repro.kernels.ring_cache.ring_decode_attention` feeds BLAS
-  contiguous operands with no transposes.  All are verified (~1e-6)
-  against the per-request kernels above, which remain the correctness
-  oracle.
+- :mod:`~repro.kernels.dispatch` — the single dispatch point:
+  :class:`~repro.kernels.dispatch.AttentionDispatch` exposes the packed
+  decode, batched decode, ragged and multi-token entry points the
+  transformer calls.  All fast kernels are verified (~1e-6) against the
+  per-request kernels above, which remain the correctness oracle.
 
-Callers outside this package, the backends and the bench harness must
-reach attention kernels through the :mod:`repro.backends` registry
+Code outside this package and the bench harness must reach attention
+kernels through :class:`~repro.kernels.dispatch.AttentionDispatch`
 (lint rule RPR006).
 """
 
@@ -68,7 +66,7 @@ from repro.kernels.packed_cache import (
     packed_decode_attention,
 )
 from repro.kernels.ragged import ragged_multi_token_attention
-from repro.kernels.ring_cache import RingDecodeCache, ring_decode_attention
+from repro.kernels.dispatch import AttentionDispatch
 from repro.kernels.strawmen import copyout_attention, multiround_attention
 from repro.kernels.subrequests import disjoint_query_spans, split_disjoint_query
 
@@ -85,9 +83,8 @@ __all__ = [
     "PackedBatch",
     "PackedDecodeCache",
     "packed_decode_attention",
-    "RingDecodeCache",
-    "ring_decode_attention",
     "ragged_multi_token_attention",
+    "AttentionDispatch",
     "copyout_attention",
     "multiround_attention",
     "disjoint_query_spans",

@@ -94,11 +94,7 @@ class _RowState:
 
 @dataclass
 class _LayerStaging:
-    # Layouts are owned by the cache class: the base cache stages K/V as
-    # [rows_cap, ctx_cap, kv_heads, head_dim]; subclasses (e.g. the
-    # ring-compacted cache) may stage a transposed layout.  Rows are
-    # always dimension 0.
-    k: np.ndarray
+    k: np.ndarray          # [rows_cap, ctx_cap, kv_heads, head_dim]
     v: np.ndarray
     gathered: np.ndarray   # [rows_cap] columns of each row already staged
 
@@ -204,82 +200,13 @@ class PackedDecodeCache:
             table[:, : self._ctx_cap] = self._table
             self._table = table
             for st in self._staging.values():
-                self._grow_staging_ctx(st, new_ctx)
+                shape = (self._rows_cap, new_ctx) + st.k.shape[2:]
+                k = np.zeros(shape, dtype=st.k.dtype)
+                v = np.zeros(shape, dtype=st.v.dtype)
+                k[:, : self._ctx_cap], v[:, : self._ctx_cap] = st.k, st.v
+                st.k, st.v = k, v
             self._ctx_cap = new_ctx
             self.stats["ctx_growths"] += 1
-
-    # ------------------------------------------------------------------ #
-    # staging layout hooks (overridden by layout-variant subclasses)     #
-    # ------------------------------------------------------------------ #
-
-    def _new_staging(
-        self,
-        tail_shape: Tuple[int, ...],
-        k_dtype: np.dtype,
-        v_dtype: np.dtype,
-    ) -> _LayerStaging:
-        """Allocate one layer's staging buffers at current capacity.
-
-        ``tail_shape`` is the per-slot KV shape ``(kv_heads, head_dim)``.
-        """
-        shape = (self._rows_cap, self._ctx_cap) + tail_shape
-        return _LayerStaging(
-            k=np.zeros(shape, dtype=k_dtype),
-            v=np.zeros(shape, dtype=v_dtype),
-            gathered=np.zeros(self._rows_cap, dtype=np.int64),
-        )
-
-    def _staging_tail(self, staging: _LayerStaging) -> Tuple[int, ...]:
-        """The ``(kv_heads, head_dim)`` tail a staging buffer was built
-        for — used to detect cache-shape changes across calls."""
-        return staging.k.shape[2:]
-
-    def _grow_staging_ctx(self, st: _LayerStaging, new_ctx: int) -> None:
-        """Widen one layer's staging to ``new_ctx`` context columns,
-        preserving already-gathered data."""
-        shape = (self._rows_cap, new_ctx) + st.k.shape[2:]
-        k = np.zeros(shape, dtype=st.k.dtype)
-        v = np.zeros(shape, dtype=st.v.dtype)
-        k[:, : self._ctx_cap], v[:, : self._ctx_cap] = st.k, st.v
-        st.k, st.v = k, v
-
-    def _gather_columns(
-        self,
-        staging: _LayerStaging,
-        stale: np.ndarray,
-        done: np.ndarray,
-        lengths: np.ndarray,
-        k_cache: np.ndarray,
-        v_cache: np.ndarray,
-    ) -> None:
-        """Stage the missing columns of every stale row."""
-        deltas = lengths[stale] - done[stale]
-        if bool((deltas == 1).all()):
-            # Steady-state decode: every stale row grew by one slot —
-            # one vectorized gather for the whole batch.
-            cols = done[stale]
-            slots = self._table[stale, cols]
-            staging.k[stale, cols] = k_cache[slots]
-            staging.v[stale, cols] = v_cache[slots]
-        else:
-            for row in stale:
-                a, b = int(done[row]), int(lengths[row])
-                slots = self._table[row, a:b]
-                staging.k[row, a:b] = k_cache[slots]
-                staging.v[row, a:b] = v_cache[slots]
-
-    def _staged_views(
-        self, staging: _LayerStaging, n: int, max_len: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The K/V views handed to the attention kernel for this batch."""
-        return staging.k[:n, :max_len], staging.v[:n, :max_len]
-
-    def _fallback_gather(
-        self, n: int, max_len: int, k_cache: np.ndarray, v_cache: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh full gather used when staging is disabled (budget)."""
-        table = self._table[:n, :max_len]
-        return k_cache[table], v_cache[table]
 
     # ------------------------------------------------------------------ #
     # packing                                                            #
@@ -387,29 +314,48 @@ class PackedDecodeCache:
         max_len: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self._staging_disabled:
-            return self._fallback_gather(n, max_len, k_cache, v_cache)
+            table = self._table[:n, :max_len]
+            return k_cache[table], v_cache[table]
         staging = self._staging.get(layer_key)
         tail_shape = k_cache.shape[1:]
-        if staging is None or self._staging_tail(staging) != tail_shape or (
+        if staging is None or staging.k.shape[2:] != tail_shape or (
             staging.k.dtype != k_cache.dtype
         ):
+            shape = (self._rows_cap, self._ctx_cap) + tail_shape
             itemsize = np.dtype(k_cache.dtype).itemsize
-            nelems = self._rows_cap * self._ctx_cap * int(np.prod(tail_shape))
-            if nelems * itemsize > self._staging_budget:
+            if int(np.prod(shape)) * itemsize > self._staging_budget:
                 # Too large to stage: fall back to a fresh gather (the
                 # packed table itself is still incremental).
                 self._staging_disabled = True
-                return self._fallback_gather(n, max_len, k_cache, v_cache)
-            staging = self._new_staging(tail_shape, k_cache.dtype, v_cache.dtype)
+                table = self._table[:n, :max_len]
+                return k_cache[table], v_cache[table]
+            staging = _LayerStaging(
+                k=np.zeros(shape, dtype=k_cache.dtype),
+                v=np.zeros(shape, dtype=v_cache.dtype),
+                gathered=np.zeros(self._rows_cap, dtype=np.int64),
+            )
             self._staging[layer_key] = staging
 
         lengths = self._lengths[:n]
         done = staging.gathered[:n]
         stale = np.nonzero(done < lengths)[0]
         if stale.size:
-            self._gather_columns(staging, stale, done, lengths, k_cache, v_cache)
+            deltas = lengths[stale] - done[stale]
+            if bool((deltas == 1).all()):
+                # Steady-state decode: every stale row grew by one slot —
+                # one vectorized gather for the whole batch.
+                cols = done[stale]
+                slots = self._table[stale, cols]
+                staging.k[stale, cols] = k_cache[slots]
+                staging.v[stale, cols] = v_cache[slots]
+            else:
+                for row in stale:
+                    a, b = int(done[row]), int(lengths[row])
+                    slots = self._table[row, a:b]
+                    staging.k[row, a:b] = k_cache[slots]
+                    staging.v[row, a:b] = v_cache[slots]
             staging.gathered[:n] = lengths
-        return self._staged_views(staging, n, max_len)
+        return staging.k[:n, :max_len], staging.v[:n, :max_len]
 
     # ------------------------------------------------------------------ #
     # reference                                                          #

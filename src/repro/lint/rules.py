@@ -698,42 +698,40 @@ class KernelCopySmell(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPR006 — backend kernel routing
+# RPR006 — kernel dispatch routing
 # ---------------------------------------------------------------------------
 
 
 @register
-class BackendKernelRouting(Rule):
-    """Attention kernels are reached through ``repro.backends``, not
+class KernelDispatchRouting(Rule):
+    """Attention kernels are reached through ``AttentionDispatch``, not
     imported directly.
 
-    A backend (:mod:`repro.backends`) owns its attention kernels *and*
-    its slot-allocation layout as one atomically-swappable pair; a
+    :class:`repro.kernels.dispatch.AttentionDispatch` is the one place
+    model code calls attention kernels from, so a kernel swap happens in
+    one file and a trace that wraps its methods sees every call.  A
     serving-layer module that imports ``packed_decode_attention`` (or any
-    other attention entry point) directly re-hardwires half of that pair
-    and silently escapes the cross-backend equivalence matrix the bench
-    harness enforces.  This rule flags any import of an attention-kernel
-    *function* from ``repro.kernels`` outside the kernel package itself,
-    ``repro/backends/`` and ``repro/bench/`` (the harness times kernels
-    against their oracles by definition).  Types and pure helpers
-    (``AttentionRequest``, ``PackedDecodeCache``, ``resolve_scale``,
-    query-span splitting, …) stay importable from anywhere.  Kernel
-    experiments that study the kernels themselves suppress with
-    ``# repro: ignore[RPR006] -- why``.
+    other attention entry point) directly bypasses both.  This rule flags
+    any import of an attention-kernel *function* from ``repro.kernels``
+    outside the kernel package itself and ``repro/bench/`` (the harness
+    times kernels against their oracles by definition).  Types and pure
+    helpers (``AttentionRequest``, ``PackedDecodeCache``,
+    ``AttentionDispatch``, ``resolve_scale``, query-span splitting, …)
+    stay importable from anywhere.  Kernel experiments that study the
+    kernels themselves suppress with ``# repro: ignore[RPR006] -- why``.
     """
 
     code = "RPR006"
-    name = "backend-kernel-routing"
-    summary = "attention kernels reached via repro.backends, not direct imports"
+    name = "kernel-dispatch-routing"
+    summary = "attention kernels reached via AttentionDispatch, not direct imports"
 
     ALLOWED_PREFIXES = (
         "repro/kernels/",
-        "repro/backends/",
         "repro/bench/",
     )
 
-    #: The attention entry points a backend owns.  Deliberately *not*
-    #: the kernel types/helpers — those carry no kernel choice.
+    #: The attention entry points.  Deliberately *not* the kernel
+    #: types/helpers — those carry no kernel choice.
     KERNEL_NAMES = frozenset(
         {
             "reference_attention",
@@ -744,7 +742,6 @@ class BackendKernelRouting(Rule):
             "ragged_multi_token_attention",
             "segment_masked_decode",
             "packed_decode_attention",
-            "ring_decode_attention",
             "copyout_attention",
             "multiround_attention",
         }
@@ -768,8 +765,8 @@ class BackendKernelRouting(Rule):
                                 node,
                                 f"attention kernel `{alias.name}` imported "
                                 f"from `{module}`; route the call through "
-                                "the repro.backends interface so the "
-                                "kernel/layout pair stays swappable",
+                                "AttentionDispatch, the single kernel "
+                                "dispatch point",
                             )
                 elif isinstance(node, ast.Attribute):
                     dotted = dotted_name(node) or ""
@@ -782,6 +779,5 @@ class BackendKernelRouting(Rule):
                             file,
                             node,
                             f"direct attention-kernel reference `{dotted}`; "
-                            "route the call through the repro.backends "
-                            "interface",
+                            "route the call through AttentionDispatch",
                         )

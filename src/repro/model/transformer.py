@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
 from repro.kernels import (
+    AttentionDispatch,
     AttentionRequest,
     disjoint_query_spans,
     split_disjoint_query,
@@ -234,7 +234,6 @@ class PagedTransformer:
         seed: int = 0,
         use_fast_paths: bool = True,
         packing_cache: bool = True,
-        backend: "str | Backend" = "paged",
     ) -> None:
         if storage.config is not config and (
             storage.config.num_layers != config.num_layers
@@ -245,15 +244,11 @@ class PagedTransformer:
         self.config = config
         self.storage = storage
         self.use_fast_paths = use_fast_paths
-        # Every attention kernel is reached through the backend (RPR006);
-        # it also owns the decode packing cache's staging layout.
-        self.backend: Backend = (
-            get_backend(backend) if isinstance(backend, str) else backend
-        )
+        # Every attention kernel is called through this object (RPR006),
+        # so tracing can wrap its methods per instance.
+        self.backend = AttentionDispatch()
         self.decode_cache: Optional[PackedDecodeCache] = (
-            self.backend.create_decode_cache()
-            if (packing_cache and use_fast_paths)
-            else None
+            PackedDecodeCache() if (packing_cache and use_fast_paths) else None
         )
         rng = np.random.default_rng(seed)
         h = config.hidden_size

@@ -88,6 +88,16 @@ class TestClassification:
         assert sorted(v.family for v in verdicts) == sorted(FAMILY_KEYS)
         assert {v.status for v in verdicts} == {"pass"}
         assert overall_status(verdicts) == "pass"
+        # Older ledger entries still carry the retired backend family's
+        # key; it yields no verdict and leaves the overall status alone.
+        legacy = [
+            {"summary": dict(summary, backend_best_speedup=1.26)}
+            for _ in range(4)
+        ]
+        legacy_verdicts = check_history(summary, legacy)
+        assert legacy_verdicts == verdicts
+        assert "backend" not in {v.family for v in legacy_verdicts}
+        assert overall_status(legacy_verdicts) == "pass"
 
 
 class TestDegradedInputs:

@@ -1,6 +1,7 @@
 """RPR006 negative fixtures: types/helpers carry no kernel choice."""
 
 from repro.kernels import (
+    AttentionDispatch,
     AttentionRequest,
     disjoint_query_spans,
     resolve_scale,
@@ -15,6 +16,10 @@ from repro.kernels.packed_cache import (
 
 def good_build_request(query, slots):
     return AttentionRequest(query=query, slots=slots)
+
+
+def good_dispatch():
+    return AttentionDispatch()
 
 
 def good_span_math(requests):

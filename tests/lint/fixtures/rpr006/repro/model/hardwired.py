@@ -1,7 +1,7 @@
 """RPR006 positive fixtures: direct attention-kernel use in serving code."""
 
 from repro.kernels import multi_token_attention, packed_decode_attention
-from repro.kernels.ring_cache import ring_decode_attention
+from repro.kernels.ragged import ragged_multi_token_attention
 
 import repro.kernels
 

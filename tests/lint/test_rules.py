@@ -95,18 +95,20 @@ class TestRPR005KernelCopySmell:
         )
 
 
-class TestRPR006BackendKernelRouting:
-    def test_flags_direct_kernel_imports_outside_backends(self, fixture_root):
+class TestRPR006DispatchRouting:
+    def test_flags_direct_kernel_imports_outside_dispatch(self, fixture_root):
         result = run_lint(fixture_root("rpr006"))
         findings = _by_rule(result, "RPR006")
-        # two names on the package import, one ring import, one dotted ref
+        # two names on the package import, one submodule import, one
+        # dotted ref
         assert len(findings) == 4
         assert all(f.path.endswith("model/hardwired.py") for f in findings)
         messages = " | ".join(f.message for f in findings)
         assert "multi_token_attention" in messages
         assert "packed_decode_attention" in messages
-        assert "ring_decode_attention" in messages
+        assert "ragged_multi_token_attention" in messages
         assert "repro.kernels.segment_masked_decode" in messages
+        assert "AttentionDispatch" in messages
 
     def test_types_and_helpers_are_importable_anywhere(self, fixture_root):
         result = run_lint(fixture_root("rpr006"))
@@ -114,10 +116,10 @@ class TestRPR006BackendKernelRouting:
             f.path.endswith("model/good_types.py") for f in result.errors
         )
 
-    def test_backends_and_bench_are_exempt(self, fixture_root):
+    def test_kernels_and_bench_are_exempt(self, fixture_root):
         result = run_lint(fixture_root("rpr006"))
         assert not any(
-            f.path.endswith("backends/good_backend.py")
+            f.path.endswith("kernels/dispatch.py")
             or f.path.endswith("bench/good_bench.py")
             for f in result.errors
         )

@@ -36,11 +36,13 @@ class TestParser:
         ):
             args = parser.parse_args([command])
             assert args.decode_sched == default
-            assert args.packing_cache == "on"
-            args = parser.parse_args(
-                [command, "--decode-sched", "fifo", "--packing-cache", "off"]
-            )
+            args = parser.parse_args([command, "--decode-sched", "fifo"])
             assert args.decode_sched == "fifo"
+        # The packing cache exists only in the functional server.
+        for command in ("chat", "bench"):
+            args = parser.parse_args([command])
+            assert args.packing_cache == "on"
+            args = parser.parse_args([command, "--packing-cache", "off"])
             assert args.packing_cache == "off"
 
     def test_invalid_sched_choice_rejected(self):
@@ -75,7 +77,7 @@ class TestSimulate:
             [
                 "simulate", "--system", "pensieve", "--model", "opt-13b",
                 "--rate", "2", "--duration", "40", "--seed", "3",
-                "--decode-sched", "page-aware", "--packing-cache", "off",
+                "--decode-sched", "page-aware",
             ]
         )
         assert rc == 0
@@ -89,32 +91,6 @@ class TestSimulate:
                     "--decode-sched", "page-aware",
                 ]
             )
-
-    def test_explicit_backend_rejected_for_stateless_systems(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "simulate", "--system", "vllm", "--duration", "5",
-                    "--backend", "paged-ring",
-                ]
-            )
-
-    def test_env_backend_quietly_skips_stateless_systems(
-        self, capsys, monkeypatch
-    ):
-        # REPRO_BACKEND is a process-wide default (CI runs the whole
-        # tier-1 matrix under it); the stateless baselines model no KV
-        # backend, so the env default must not hard-fail on them the way
-        # an explicit --backend flag does.
-        monkeypatch.setenv("REPRO_BACKEND", "paged-ring")
-        rc = main(
-            [
-                "simulate", "--system", "vllm", "--model", "opt-13b",
-                "--rate", "2", "--duration", "40",
-            ]
-        )
-        assert rc == 0
-        assert "vLLM" in capsys.readouterr().out
 
     def test_simulate_vllm_has_no_cache_line(self, capsys):
         rc = main(
