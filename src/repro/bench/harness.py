@@ -984,8 +984,6 @@ def bench_decode_sched(
     new_tokens: int,
     repeats: int,
     seed: int,
-    opt_packing_cache: bool = True,
-    opt_decode_sched: str = "page-aware",
 ) -> BenchResult:
     """End-to-end A/B: page-aware scheduling + packing cache vs FIFO rebuild.
 
@@ -993,8 +991,8 @@ def bench_decode_sched(
     ``chat_batch`` workloads whose arrival order is shuffled differently
     every round — the reference (``decode_sched="fifo"``,
     ``packing_cache=False``) processes prompts in arrival order and packs
-    every decode step from scratch; the optimized server
-    (``decode_sched="page-aware"``, ``packing_cache=True``) reorders the
+    every decode step from scratch; the optimized server (the defaults,
+    ``decode_sched="page-aware"`` with the packing cache) reorders the
     batch onto its existing cache rows and GPU-resident conversations, so
     steady-state decode steps extend the packed table in place.
     Greedy-sampled outputs are order-independent per conversation, so
@@ -1041,12 +1039,7 @@ def bench_decode_sched(
         outputs["ref"] = rounds(state["ref"])
 
     def opt_setup() -> None:
-        state["opt"] = StatefulChatServer(
-            config,
-            packing_cache=opt_packing_cache,
-            decode_sched=opt_decode_sched,
-            **caps,
-        )
+        state["opt"] = StatefulChatServer(config, **caps)
 
     def opt_run() -> None:
         outputs["opt"] = rounds(state["opt"])
@@ -1055,18 +1048,10 @@ def bench_decode_sched(
     optimized_s = _best_of_stateful(opt_setup, opt_run, repeats)
 
     # The A/B is only meaningful if the optimized server's cache actually
-    # ran in the incremental regime (unless the cache was toggled off for
-    # an ablation run).
-    if opt_packing_cache:
-        opt_stats = state["opt"].model.decode_cache.stats
-        assert opt_stats["extended_rows"] > 0, (
-            f"{name}: packing cache never extended a row ({opt_stats})"
-        )
-
-    opt_label = (
-        f"{opt_decode_sched} order, "
-        f"{'incremental pack' if opt_packing_cache else 'per-step rebuild'} "
-        f"[packing_cache={'on' if opt_packing_cache else 'off'}]"
+    # ran in the incremental regime.
+    opt_stats = state["opt"].model.decode_cache.stats
+    assert opt_stats["extended_rows"] > 0, (
+        f"{name}: packing cache never extended a row ({opt_stats})"
     )
 
     tokens = num_convs * turns * (prompt_len + new_tokens)
@@ -1074,7 +1059,7 @@ def bench_decode_sched(
         name,
         "decode_sched",
         "fifo order, per-step rebuild [packing_cache=off]",
-        opt_label,
+        "page-aware order, incremental pack [packing_cache=on]",
         batch=num_convs,
         tokens_per_call=tokens,
         reference_s=reference_s,
@@ -1093,8 +1078,6 @@ def run_all(
     seed: int = 0,
     repeats: Optional[int] = None,
     tracer=None,
-    packing_cache: bool = True,
-    decode_sched: str = "page-aware",
 ) -> List[BenchResult]:
     """Run the benchmark suite and return results in deterministic order.
 
@@ -1103,12 +1086,6 @@ def run_all(
     stable across PRs.  A :class:`repro.obs.Tracer` records one wall-clock
     span per scenario (the bench is a real-time workload, so its trace
     time axis is wall seconds).
-
-    ``packing_cache``/``decode_sched`` mirror the CLI flags: they
-    configure the *optimized* server of the ``decode_sched`` A/B, letting
-    experiments toggle each half of the optimization independently (the
-    kernel-level ``packing`` scenarios always measure the cache itself and
-    are unaffected).
     """
     r = repeats if repeats is not None else (5 if quick else 9)
     heads, head_dim = 8, 64
@@ -1347,8 +1324,6 @@ def run_all(
             new_tokens=24,
             repeats=max(2, r // 3),
             seed=seed,
-            opt_packing_cache=packing_cache,
-            opt_decode_sched=decode_sched,
         )
     )
     return results

@@ -217,8 +217,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
         cpu_capacity_tokens=args.cpu_tokens,
         disk_capacity_tokens=args.disk_tokens,
         seed=args.seed,
-        decode_sched=args.decode_sched,
-        packing_cache=args.packing_cache == "on",
     )
     if args.system_prompt:
         server.set_system_prompt(args.system_prompt)
@@ -466,8 +464,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     results = run_all(
         quick=args.quick, seed=args.seed, repeats=args.repeats, tracer=tracer,
-        packing_cache=args.packing_cache == "on",
-        decode_sched=args.decode_sched,
     )
     print(format_table(results))
     if args.check_history:
@@ -593,28 +589,26 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code(strict=args.strict)
 
 
-def _add_sched_flags(parser: argparse.ArgumentParser, default_sched: str) -> None:
-    """The decode-scheduling policy.
+def _add_sched_flags(parser: argparse.ArgumentParser) -> None:
+    """The simulator's decode-scheduling policy.
 
-    ``--decode-sched fifo`` is the paper-faithful arrival-order policy;
-    ``page-aware`` orders decode candidates by GPU page residency and
-    packing-cache row occupancy.  Outputs are identical either way (the
-    knob only moves work, never changes results).
+    ``--decode-sched fifo`` (the default) is the paper-faithful
+    arrival-order policy; ``page-aware`` picks the §4.3.5 suspension
+    victim and orders the admission window by GPU page residency.
     """
     parser.add_argument("--decode-sched", choices=("fifo", "page-aware"),
-                        default=default_sched,
+                        default="fifo",
                         help="decode scheduling policy: arrival order (fifo) "
                              "or GPU-page-residency order (page-aware); "
-                             f"default {default_sched}")
+                             "default fifo")
 
 
-def _add_packing_cache_flag(parser: argparse.ArgumentParser) -> None:
-    """The functional server's incremental decode packing cache toggle
-    (outputs are identical either way)."""
-    parser.add_argument("--packing-cache", choices=("on", "off"),
-                        default="on",
-                        help="incremental decode slot-table packing cache "
-                             "(default on)")
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
@@ -653,11 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--disk-tokens", type=int, default=0,
                       help="capacity of the third (disk) tier in KV-tokens "
                            "(0 disables it)")
-    chat.add_argument("--max-tokens", type=int, default=12)
+    chat.add_argument("--max-tokens", type=_positive_int, default=12)
     chat.add_argument("--system-prompt", default="")
     chat.add_argument("--seed", type=int, default=0)
-    _add_sched_flags(chat, default_sched="page-aware")
-    _add_packing_cache_flag(chat)
     _add_slo_flags(chat)
     chat.set_defaults(func=cmd_chat)
 
@@ -682,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trace-out", default=None, metavar="DIR",
                           help="record full telemetry and write the trace "
                                "artifacts (Chrome JSON, JSONL, text) here")
-    _add_sched_flags(simulate, default_sched="fifo")
+    _add_sched_flags(simulate)
     _add_slo_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -699,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--disk-tokens", type=int, default=0,
                        help="enable the NVMe-modeled disk tier with this "
                             "many KV-tokens of capacity (stateful systems)")
-    _add_sched_flags(sweep, default_sched="fifo")
+    _add_sched_flags(sweep)
     _add_slo_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -729,8 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the trailing median of the BENCH_kernels.json "
                             "history ledger (pass/warn/fail report; "
                             "non-gating)")
-    _add_sched_flags(bench, default_sched="page-aware")
-    _add_packing_cache_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser(

@@ -322,18 +322,6 @@ class PensieveEngine(EngineBase):
             return admitted
         return decoders + admitted
 
-    def _gpu_resident_fraction(self, conv_id: int) -> float:
-        """Fraction of a conversation's cached tokens still holding GPU
-        pages (``GPU`` + ``GPU_CPU`` in the Figure 5 layout)."""
-        cache = self.manager.conversation(conv_id)
-        if cache is None or cache.total_tokens == 0:
-            return 0.0
-        seg = cache.segments()
-        resident = seg.get(ChunkLocation.GPU, 0) + seg.get(
-            ChunkLocation.GPU_CPU, 0
-        )
-        return resident / cache.total_tokens
-
     def _pick_suspension_victim(self, decoders: List[Request]) -> Request:
         """§4.3.5 victim choice.  FIFO suspends the latest-arrived
         request (the paper's rule).  Page-aware suspends the decoder with
@@ -345,7 +333,7 @@ class PensieveEngine(EngineBase):
             return min(
                 decoders,
                 key=lambda r: (
-                    self._gpu_resident_fraction(r.conv_id),
+                    self.manager.gpu_resident_fraction(r.conv_id),
                     -r.arrival_time,
                     -r.request_id,
                 ),
@@ -449,7 +437,7 @@ class PensieveEngine(EngineBase):
             return
         window = min(len(self.wait_queue), self.ADMIT_WINDOW)
         head = [self.wait_queue.popleft() for _ in range(window)]
-        head.sort(key=lambda r: -self._gpu_resident_fraction(r.conv_id))
+        head.sort(key=lambda r: -self.manager.gpu_resident_fraction(r.conv_id))
         self.wait_queue.extendleft(reversed(head))
 
     def _admit(self, now: float) -> List[Request]:

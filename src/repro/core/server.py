@@ -85,17 +85,17 @@ class StatefulChatServer:
         retry_policy: bounded-backoff budget for transient faults.
         verify_on_read: re-check CPU-store chunk CRCs on every read
             (default on; the benchmark harness turns it off to price it).
-        use_fast_paths: dispatch forward passes through the vectorized
-            kernel layer (default on; off = per-layer tiled baseline).
         packing_cache: keep the transformer's incremental decode packing
             cache (packed slot table + gathered-KV staging reused across
             decode iterations).  Numerically transparent; off = the
-            rebuild-every-step batched-kernel baseline.
+            rebuild-every-step baseline of the ``decode_sched`` bench
+            family.
         decode_sched: ``"page-aware"`` (default) orders ``chat_batch``
             conversations so packing-cache occupants keep their rows and
             swapped-out newcomers sort by GPU page residency;
-            ``"fifo"`` preserves the caller's order.  With greedy
-            sampling both produce identical per-conversation outputs.
+            ``"fifo"`` preserves the caller's order (the ``decode_sched``
+            bench family's reference).  With greedy sampling both produce
+            identical per-conversation outputs.
         backend: kernel/layout pair; ``"paged"`` (block tables under
             the packed decode cache) is the only one (ARCHITECTURE.md
             §15).
@@ -120,7 +120,6 @@ class StatefulChatServer:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         verify_on_read: bool = True,
-        use_fast_paths: bool = True,
         packing_cache: bool = True,
         decode_sched: str = "page-aware",
         backend: str = "paged",
@@ -173,7 +172,6 @@ class StatefulChatServer:
             self.config,
             self.storage,
             seed=seed,
-            use_fast_paths=use_fast_paths,
             packing_cache=packing_cache,
         )
         self.tokenizer = tokenizer or SimpleTokenizer(self.config.vocab_size)
@@ -294,12 +292,12 @@ class StatefulChatServer:
             if self.disk_store.contains(cache.conv_id, chunk.index):
                 self.disk_store.drop(cache.conv_id, chunk.index)
         elif old is ChunkLocation.DISK and new is ChunkLocation.GPU:
-            # Disk restore is orchestrated by chat() alongside the CPU
-            # swap-in batch; nothing here.
+            # Disk restore is orchestrated by _restore_context alongside
+            # the CPU swap-in batch; nothing here.
             pass
         elif old is ChunkLocation.CPU and new is ChunkLocation.GPU:
-            # Swap-in is orchestrated by chat() (restore_front needs the
-            # whole vacated prefix handled in one batch); nothing here.
+            # Swap-in is orchestrated by _restore_context (restore_front
+            # needs the whole vacated prefix handled in one batch).
             pass
         elif old is ChunkLocation.DROPPED and new is ChunkLocation.GPU:
             pass  # recomputation fills the restored slots during prefill
@@ -505,15 +503,14 @@ class StatefulChatServer:
         max_new_tokens: int = 16,
         sampling: SamplingParams = GREEDY,
     ) -> List[int]:
-        """Serve one turn: prefill the (possibly partially cached) context
-        and greedily decode ``max_new_tokens`` tokens.
+        """Serve one turn: a one-conversation :meth:`chat_batch`.
 
         Args:
             conv_id: conversation identifier.
             user_text: the user's message (tokenised internally); ignored
                 if ``prompt_ids`` is given.
             prompt_ids: raw prompt token ids (for tests/scripted runs).
-            max_new_tokens: number of tokens to generate.
+            max_new_tokens: number of tokens to generate (at least 1).
             sampling: decoding strategy (greedy by default; stochastic
                 strategies draw from the server's seeded sampling stream).
 
@@ -526,85 +523,12 @@ class StatefulChatServer:
                 attempts) and the server remains consistent for every
                 other conversation.
         """
-        self._clock += 1.0
-        now = self._clock
-        if conv_id == self.SYSTEM_CONV_ID:
-            raise ValueError(f"conversation id {conv_id} is reserved")
         if prompt_ids is None:
             prompt_ids = self.tokenizer.encode(user_text)
-        prompt_ids = list(prompt_ids)
-        if not prompt_ids:
-            raise ValueError("empty prompt")
-
-        tracer = self.tracer
-        req_span = 0
-        if tracer.enabled:
-            req_span = tracer.begin(
-                "request", t=now, track="requests",
-                conv_id=conv_id, prompt_tokens=len(prompt_ids),
-            )
-        try:
-            prefill_span = 0
-            if tracer.enabled:
-                prefill_span = tracer.begin(
-                    "prefill", t=now, parent=req_span, track="server",
-                    conv_id=conv_id,
-                )
-            table, dropped, input_ids = self._restore_context(
-                conv_id, prompt_ids, now
-            )
-            history = self.raw_tokens[conv_id]
-            request = ForwardRequest(
-                input_ids=np.asarray(input_ids, dtype=np.int64),
-                context_slots=self._full_context(table),
-                dropped=dropped,
-                shared_prefix=len(self._system_slots),
-            )
-            logits = self.model.forward([request])[0]
-            next_token = sample_token(logits[-1], sampling, self._sampling_rng)
-            if tracer.enabled:
-                tracer.end(
-                    prefill_span, t=self._clock,
-                    tokens=len(input_ids), recomputed=dropped,
-                )
-
-            decode_span = 0
-            if tracer.enabled:
-                decode_span = tracer.begin(
-                    "decode", t=self._clock, parent=req_span, track="server",
-                    conv_id=conv_id,
-                )
-            generated = [next_token]
-            for _ in range(max_new_tokens - 1):
-                self._grow(conv_id, table, now)
-                step = self._decode_request(conv_id, table, generated[-1])
-                step_logits = self.model.next_token_logits([step])[0]
-                generated.append(
-                    sample_token(step_logits, sampling, self._sampling_rng)
-                )
-
-            # Account the final token's KV as part of the cached context.
-            self._grow(conv_id, table, now)
-            step = self._decode_request(conv_id, table, generated[-1])
-            self.model.forward([step])
-            if tracer.enabled:
-                tracer.end(decode_span, t=self._clock, tokens=len(generated))
-        except RequestFaultedError:
-            if tracer.enabled:
-                tracer.count("requests.failed")
-                tracer.end(req_span, t=self._clock, outcome="failed")
-            raise
-
-        history.extend(prompt_ids)
-        history.extend(generated)
-        self.manager.close(conv_id, now)
-        if tracer.enabled:
-            tracer.count("requests.finished")
-            tracer.end(
-                req_span, t=self._clock,
-                outcome="finished", output_tokens=len(generated),
-            )
-        return generated
+        out = self.chat_batch([(conv_id, prompt_ids)], max_new_tokens, sampling)
+        if conv_id not in out:
+            raise self.failures[-1]
+        return out[conv_id]
 
     def _restore_context(
         self, conv_id: int, prompt_ids: List[int], now: float
@@ -805,8 +729,9 @@ class StatefulChatServer:
 
         Args:
             prompts: ``(conv_id, prompt_ids)`` pairs; conversation ids
-                must be distinct within one batch.
-            max_new_tokens: tokens to generate per conversation.
+                must be distinct within one batch and prompts non-empty.
+            max_new_tokens: tokens to generate per conversation (at
+                least 1).
             sampling: decoding strategy (stochastic strategies consume the
                 sampling stream in batch — i.e. scheduled — order, so
                 they match sequential serving only in distribution, not
@@ -816,19 +741,31 @@ class StatefulChatServer:
             Mapping of conversation id to its generated token ids.
             Conversations whose requests failed individually under an
             armed fault plan are omitted (see ``self.failures``).
+
+        Raises:
+            ValueError: on a malformed batch, before any state changes.
         """
-        self._clock += 1.0
-        now = self._clock
-        conv_ids = [conv_id for conv_id, _ in prompts]
+        batch = [(conv_id, list(ids)) for conv_id, ids in prompts]
+        conv_ids = [conv_id for conv_id, _ in batch]
         if len(set(conv_ids)) != len(conv_ids):
             raise ValueError("duplicate conversation ids in one batch")
         if self.SYSTEM_CONV_ID in conv_ids:
             raise ValueError(f"conversation id {self.SYSTEM_CONV_ID} is reserved")
-        if self.decode_sched == "page-aware" and len(prompts) > 1:
-            prompts = self._page_aware_order(prompts)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "batch_turn", t=now, track="server", batch_size=len(prompts)
+        for conv_id, prompt_ids in batch:
+            if not prompt_ids:
+                raise ValueError(f"empty prompt for conversation {conv_id}")
+        if max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        self._clock += 1.0
+        now = self._clock
+        if self.decode_sched == "page-aware" and len(batch) > 1:
+            batch = self._page_aware_order(batch)
+        tracer = self.tracer
+        # conv_id -> [request span, open stage span]; empty when disarmed.
+        spans: Dict[int, List[int]] = {}
+        if tracer.enabled:
+            tracer.instant(
+                "batch_turn", t=now, track="server", batch_size=len(batch)
             )
 
         # Phase 1: restore/extend every conversation's context (pins all,
@@ -836,15 +773,23 @@ class StatefulChatServer:
         # request that exhausts its fault retries drops out individually;
         # the rest of the batch is served normally.
         prepared = []
-        for conv_id, prompt_ids in prompts:
-            prompt_ids = list(prompt_ids)
-            if not prompt_ids:
-                raise ValueError(f"empty prompt for conversation {conv_id}")
+        for conv_id, prompt_ids in batch:
+            if tracer.enabled:
+                request = tracer.begin(
+                    "request", t=now, track="requests",
+                    conv_id=conv_id, prompt_tokens=len(prompt_ids),
+                )
+                spans[conv_id] = [request, tracer.begin(
+                    "prefill", t=now, parent=request, track="server",
+                    conv_id=conv_id,
+                )]
             try:
                 table, dropped, input_ids = self._restore_context(
                     conv_id, prompt_ids, now
                 )
             except RequestFaultedError:
+                if tracer.enabled:
+                    self._trace_failed(spans.pop(conv_id))
                 continue  # recorded in self.failures; batch goes on
             prepared.append((conv_id, prompt_ids, table, dropped, input_ids))
         if not prepared:
@@ -866,6 +811,17 @@ class StatefulChatServer:
             conv_id: [sample_token(l[-1], sampling, self._sampling_rng)]
             for (conv_id, _, _, _, _), l in zip(prepared, logits)
         }
+        if tracer.enabled:
+            for conv_id, _, _, dropped, input_ids in prepared:
+                pair = spans[conv_id]
+                tracer.end(
+                    pair[1], t=self._clock,
+                    tokens=len(input_ids), recomputed=dropped,
+                )
+                pair[1] = tracer.begin(
+                    "decode", t=self._clock, parent=pair[0], track="server",
+                    conv_id=conv_id,
+                )
 
         # Phase 3: batched decode steps (every conversation advances by
         # one token per iteration, like the simulated engine).  A
@@ -879,7 +835,9 @@ class StatefulChatServer:
                 try:
                     self._grow(conv_id, table, now)
                 except RequestFaultedError:
-                    generated.pop(conv_id, None)
+                    generated.pop(conv_id)
+                    if tracer.enabled:
+                        self._trace_failed(spans.pop(conv_id))
                     continue
                 survivors.append(item)
                 steps.append(
@@ -902,23 +860,27 @@ class StatefulChatServer:
             history.extend(prompt_ids)
             history.extend(generated[conv_id])
             self.manager.close(conv_id, now)
+            if tracer.enabled:
+                request, decode = spans.pop(conv_id)
+                output_tokens = len(generated[conv_id])
+                tracer.end(decode, t=self._clock, tokens=output_tokens)
+                tracer.count("requests.finished")
+                tracer.end(
+                    request, t=self._clock,
+                    outcome="finished", output_tokens=output_tokens,
+                )
         return generated
 
-    def _gpu_resident_fraction(self, conv_id: int) -> float:
-        """Fraction of a conversation's cached tokens still holding GPU
-        pages (GPU + GPU_CPU in the Figure 5 layout)."""
-        cache = self.manager.conversation(conv_id)
-        if cache is None or cache.total_tokens == 0:
-            return 0.0
-        seg = cache.segments()
-        resident = seg.get(ChunkLocation.GPU, 0) + seg.get(
-            ChunkLocation.GPU_CPU, 0
-        )
-        return resident / cache.total_tokens
+    def _trace_failed(self, pair: List[int]) -> None:
+        """Close a failed request's open stage span and its request span."""
+        request, stage = pair
+        self.tracer.end(stage, t=self._clock)
+        self.tracer.count("requests.failed")
+        self.tracer.end(request, t=self._clock, outcome="failed")
 
     def _page_aware_order(
-        self, prompts: Sequence[Tuple[int, Sequence[int]]]
-    ) -> List[Tuple[int, Sequence[int]]]:
+        self, batch: List[Tuple[int, List[int]]]
+    ) -> List[Tuple[int, List[int]]]:
         """Schedule a batch page-aware: packing-cache occupants first, in
         their cached row order (keeping the packed table's extend fast
         path alive across turns), then the rest by descending GPU page
@@ -926,14 +888,14 @@ class StatefulChatServer:
         caller's order (stable)."""
         cache = self.model.decode_cache
 
-        def sort_key(item: Tuple[int, Tuple[int, Sequence[int]]]):
+        def sort_key(item: Tuple[int, Tuple[int, List[int]]]):
             index, (conv_id, _) = item
             row = cache.row_index(conv_id) if cache is not None else None
             if row is not None:
                 return (0, row, index)
-            return (1, -self._gpu_resident_fraction(conv_id), index)
+            return (1, -self.manager.gpu_resident_fraction(conv_id), index)
 
-        return [pair for _, pair in sorted(enumerate(prompts), key=sort_key)]
+        return [pair for _, pair in sorted(enumerate(batch), key=sort_key)]
 
     def chat_text(self, conv_id: int, user_text: str, max_new_tokens: int = 16) -> str:
         """Convenience wrapper returning decoded text."""

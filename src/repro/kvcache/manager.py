@@ -294,6 +294,19 @@ class TieredCacheManager:
     def conversations(self) -> List[ConversationCache]:
         return list(self._conversations.values())
 
+    def gpu_resident_fraction(self, conv_id: int) -> float:
+        """Fraction of a conversation's cached tokens still holding GPU
+        pages (``GPU`` + ``GPU_CPU`` in the Figure 5 layout); 0 for an
+        unknown or empty conversation."""
+        cache = self._conversations.get(conv_id)
+        if cache is None or cache.total_tokens == 0:
+            return 0.0
+        seg = cache.segments()
+        resident = seg.get(ChunkLocation.GPU, 0) + seg.get(
+            ChunkLocation.GPU_CPU, 0
+        )
+        return resident / cache.total_tokens
+
     # ------------------------------------------------------------------
     # Counter maintenance
     # ------------------------------------------------------------------

@@ -101,6 +101,31 @@ class TestBatchSemantics:
         with pytest.raises(ValueError, match="empty"):
             server.chat_batch([(0, [])])
 
+    def test_rejected_batch_leaves_no_trace(self, config):
+        """A later empty prompt must be caught before the earlier
+        conversation is restored (pinned, with its prompt's slots)."""
+        server = make_server(config)
+        twin = make_server(config)
+        for s in (server, twin):
+            s.chat_batch([(0, [4, 5])], max_new_tokens=2)
+        with pytest.raises(ValueError, match="empty"):
+            server.chat_batch([(0, [6, 7]), (1, [])])
+        assert server.context_length(0) == len(server.raw_tokens[0]) == 4
+        assert server.manager.conversation(0).pinned is False
+        assert server.manager.conversation(1) is None
+        assert server.chat_batch([(0, [8])], max_new_tokens=4) == (
+            twin.chat_batch([(0, [8])], max_new_tokens=4)
+        )
+
+    @pytest.mark.parametrize("max_new_tokens", [0, -1])
+    def test_max_new_tokens_below_one_rejected(self, config, max_new_tokens):
+        server = make_server(config)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            server.chat_batch([(0, [4, 5])], max_new_tokens=max_new_tokens)
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            server.chat(0, prompt_ids=[4, 5], max_new_tokens=max_new_tokens)
+        assert server.context_length(0) == 0 and not server.raw_tokens
+
     def test_reserved_id_rejected(self, config):
         server = make_server(config)
         with pytest.raises(ValueError, match="reserved"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import StatefulChatServer
+from repro.faults import FaultSite, RequestFaultedError
 from repro.kvcache.chunks import ChunkLocation
 from repro.model import tiny_llama_config, tiny_opt_config
 
@@ -58,6 +59,25 @@ class TestBasicChat:
         server = StatefulChatServer(config)
         with pytest.raises(ValueError):
             server.chat(0, prompt_ids=[])
+
+    def test_chat_is_a_one_conversation_batch(self, config, monkeypatch):
+        server = StatefulChatServer(config, seed=3)
+        calls = []
+
+        def spy(prompts, max_new_tokens, sampling):
+            calls.append((prompts, max_new_tokens))
+            return {}
+
+        monkeypatch.setattr(server, "chat_batch", spy)
+        server.failures.append(RequestFaultedError(0, FaultSite.GPU_ALLOC, 4))
+        with pytest.raises(RequestFaultedError) as excinfo:
+            server.chat(0, prompt_ids=[5, 6], max_new_tokens=3)
+        assert excinfo.value is server.failures[-1]
+        assert calls == [([(0, [5, 6])], 3)]
+
+    def test_use_fast_paths_is_not_a_server_knob(self, config):
+        with pytest.raises(TypeError):
+            StatefulChatServer(config, use_fast_paths=False)
 
     def test_chunk_page_alignment_enforced(self, config):
         with pytest.raises(ValueError):

@@ -124,9 +124,10 @@ class TestServer:
         seed=0,
     )
 
-    def _transcripts(self, **kwargs):
+    def _transcripts(self, fast_paths=True):
         config = tiny_opt_config()
-        server = StatefulChatServer(config, **self.CAPS, **kwargs)
+        server = StatefulChatServer(config, **self.CAPS)
+        server.model.use_fast_paths = fast_paths
         prompts = [
             (conv, [(conv * 13 + i) % config.vocab_size for i in range(9)])
             for conv in range(4)
@@ -142,7 +143,7 @@ class TestServer:
     def test_fast_paths_match_the_reference_path_token_for_token(self):
         # The reference path runs the per-request kernels; the fast path
         # runs every AttentionDispatch entry point, packed decode included.
-        assert self._transcripts() == self._transcripts(use_fast_paths=False)
+        assert self._transcripts() == self._transcripts(fast_paths=False)
 
     def test_paged_is_the_only_backend(self):
         server = StatefulChatServer(tiny_opt_config(), backend="paged", **self.CAPS)

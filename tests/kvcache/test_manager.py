@@ -114,6 +114,18 @@ class TestSwapOutAndReclaim:
         cache = mgr.conversation(1)
         assert cache.chunks[0].location is ChunkLocation.CPU
 
+    def test_gpu_resident_fraction_counts_gpu_pages(self):
+        mgr = make_manager(gpu=256)
+        assert mgr.gpu_resident_fraction(1) == 0.0
+        finish_conversation(mgr, 1, 128, now=0.0)
+        assert mgr.gpu_resident_fraction(1) == 1.0
+        mgr.swap_out(64, now=10.0)  # copies keep their GPU pages
+        assert mgr.gpu_resident_fraction(1) == 1.0
+        mgr.reclaim(64, now=10.0)
+        cpu = mgr.conversation(1).segments()[ChunkLocation.CPU]
+        assert cpu >= 64
+        assert mgr.gpu_resident_fraction(1) == (128 - cpu) / 128
+
     def test_pinned_conversations_not_evicted(self):
         mgr = make_manager(gpu=256)
         mgr.open(1, now=0.0)

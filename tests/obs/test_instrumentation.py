@@ -9,6 +9,7 @@ import pytest
 from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 from repro.experiments.common import run_serving_once
+from repro.faults import FaultPlan, FaultSite, RequestFaultedError
 from repro.gpu.pcie import Direction
 from repro.obs import Tracer, write_trace_artifacts
 
@@ -171,23 +172,59 @@ class TestNoPerturbation:
 
 
 class TestFunctionalServerSpans:
-    def test_chat_emits_request_prefill_decode(self):
-        tracer = Tracer()
-        server = StatefulChatServer(
+    @staticmethod
+    def _server(tracer, fault_plan=None):
+        return StatefulChatServer(
             gpu_capacity_tokens=128,
             cpu_capacity_tokens=256,
             chunk_size=16,
             page_size=8,
             tracer=tracer,
+            fault_plan=fault_plan,
         )
-        server.chat(1, prompt_ids=[3, 4, 5], max_new_tokens=4)
+
+    @pytest.mark.parametrize("entry", ["chat", "chat_batch"])
+    def test_chat_emits_request_prefill_decode(self, entry):
+        tracer = Tracer()
+        server = self._server(tracer)
+        prompts = [(1, [3, 4, 5]), (2, [6, 7])]
+        if entry == "chat":
+            for conv, ids in prompts:
+                server.chat(conv, prompt_ids=ids, max_new_tokens=4)
+        else:
+            server.chat_batch(prompts, max_new_tokens=4)
         names = {s.name for s in tracer.spans}
         assert {"request", "prefill", "decode"} <= names
-        request = tracer.spans_named("request")[0]
-        assert request.attrs["outcome"] == "finished"
-        children = {s.name for s in tracer.spans if s.parent == request.id}
-        assert {"prefill", "decode"} <= children
-        assert tracer.counter("requests.finished") == 1
+        requests = tracer.spans_named("request")
+        assert sorted(r.attrs["conv_id"] for r in requests) == [1, 2]
+        for request in requests:
+            assert request.attrs["outcome"] == "finished"
+            assert request.attrs["output_tokens"] == 4
+            children = {s.name for s in tracer.spans if s.parent == request.id}
+            assert {"prefill", "decode"} <= children
+        assert all(s.t1 is not None for s in tracer.spans)
+        assert tracer.counter("requests.finished") == 2
+        assert tracer.counter("requests.failed") == 0
+
+    @pytest.mark.parametrize(
+        "schedule, open_stage",
+        [((0, 1, 2, 3), "prefill"), ((1, 2, 3, 4), "decode")],
+        ids=["restore", "mid-decode"],
+    )
+    def test_terminal_gpu_alloc_fault_closes_spans(self, schedule, open_stage):
+        tracer = Tracer()
+        plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: schedule})
+        server = self._server(tracer, fault_plan=plan)
+        with pytest.raises(RequestFaultedError):
+            server.chat(1, prompt_ids=[3, 4, 5], max_new_tokens=4)
+        (request,) = tracer.spans_named("request")
+        assert request.attrs["outcome"] == "failed"
+        assert "output_tokens" not in request.attrs
+        stages = [s.name for s in tracer.spans if s.parent == request.id]
+        assert stages[-1] == open_stage
+        assert all(s.t1 is not None for s in tracer.spans)
+        assert tracer.counter("requests.failed") == 1
+        assert tracer.counter("requests.finished") == 0
 
     def test_cpu_store_counters_under_eviction(self):
         tracer = Tracer()

@@ -23,27 +23,32 @@ class TestParser:
         assert args.output == "BENCH_kernels.json"
         assert args.quick is False
         assert args.repeats is None
-        assert args.decode_sched == "page-aware"
-        assert args.packing_cache == "on"
 
     def test_sched_flags_on_every_serving_command(self):
         parser = build_parser()
         for command, default in (
-            ("chat", "page-aware"),
             ("simulate", "fifo"),
             ("sweep", "fifo"),
-            ("bench", "page-aware"),
         ):
             args = parser.parse_args([command])
             assert args.decode_sched == default
             args = parser.parse_args([command, "--decode-sched", "fifo"])
             assert args.decode_sched == "fifo"
-        # The packing cache exists only in the functional server.
-        for command in ("chat", "bench"):
-            args = parser.parse_args([command])
-            assert args.packing_cache == "on"
-            args = parser.parse_args([command, "--packing-cache", "off"])
-            assert args.packing_cache == "off"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chat", "--packing-cache", "on"],
+            ["chat", "--decode-sched", "fifo"],
+            ["bench", "--packing-cache", "off"],
+            ["bench", "--decode-sched", "fifo"],
+            ["chat", "--max-tokens", "0"],
+        ],
+    )
+    def test_functional_server_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_invalid_sched_choice_rejected(self):
         with pytest.raises(SystemExit):
@@ -147,6 +152,27 @@ class TestSimulate:
         )
         assert rc == 0
         assert "Llama 2-13B" in capsys.readouterr().out
+
+
+class TestChat:
+    def test_scripted_chat_writes_metrics(self, capsys, tmp_path, monkeypatch):
+        from repro.obs import parse_prometheus
+
+        lines = iter(["hello", "/stats", "/quit"])
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        out_dir = tmp_path / "chatm"
+        rc = main(
+            [
+                "chat", "--max-tokens", "4", "--slo-ttft", "5",
+                "--metrics-out", str(out_dir),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert any(line.startswith("bot> ") for line in out.splitlines())
+        assert "cache stats:" in out
+        parsed = parse_prometheus((out_dir / "chat_metrics.prom").read_text())
+        assert parsed["repro_chat_turn_seconds_count"][()] == 1
 
 
 class TestSweep:
