@@ -183,16 +183,23 @@ class TestFunctionalServerSpans:
             fault_plan=fault_plan,
         )
 
-    @pytest.mark.parametrize("entry", ["chat", "chat_batch"])
-    def test_chat_emits_request_prefill_decode(self, entry):
+    PROMPTS = [(1, [3, 4, 5]), (2, [6, 7])]
+
+    def test_chat_emits_request_prefill_decode(self):
         tracer = Tracer()
         server = self._server(tracer)
-        prompts = [(1, [3, 4, 5]), (2, [6, 7])]
-        if entry == "chat":
-            for conv, ids in prompts:
-                server.chat(conv, prompt_ids=ids, max_new_tokens=4)
-        else:
-            server.chat_batch(prompts, max_new_tokens=4)
+        for conv, ids in self.PROMPTS:
+            server.chat(conv, prompt_ids=ids, max_new_tokens=4)
+        self._assert_requests_finished(tracer)
+
+    def test_chat_batch_emits_request_prefill_decode(self):
+        tracer = Tracer()
+        server = self._server(tracer)
+        server.chat_batch(self.PROMPTS, max_new_tokens=4)
+        self._assert_requests_finished(tracer)
+
+    @staticmethod
+    def _assert_requests_finished(tracer):
         names = {s.name for s in tracer.spans}
         assert {"request", "prefill", "decode"} <= names
         requests = tracer.spans_named("request")
