@@ -235,9 +235,12 @@ def _attend_one_vectorized(
         return out.reshape(q_len, num_heads, head_dim)
 
     # Tiled online softmax over the pre-gathered context, grouped heads.
-    running_max = np.full((q_len, kv_heads, group), -np.inf)
-    denom = np.zeros((q_len, kv_heads, group))
-    accum = np.zeros((q_len, kv_heads, group, head_dim))
+    # The running state takes the query's dtype so a float32 fallback
+    # stays float32.
+    dtype = query.dtype
+    running_max = np.full((q_len, kv_heads, group), -np.inf, dtype=dtype)
+    denom = np.zeros((q_len, kv_heads, group), dtype=dtype)
+    accum = np.zeros((q_len, kv_heads, group, head_dim), dtype=dtype)
     for start in range(0, visible, tile):
         stop = min(start + tile, visible)
         k_tile = k[start:stop]  # contiguous slice — no re-gather

@@ -197,7 +197,7 @@ def ragged_multi_token_attention(
     valid = (ctx_positions[None, None, :] <= pos_pad[:, :, None]) & (
         ctx_positions[None, None, :] < visibles[:, None, None]
     )  # [n, max_q, C]
-    bias = np.where(valid, 0.0, -np.inf)
+    bias = np.where(valid, scores.dtype.type(0.0), scores.dtype.type(-np.inf))
     scores += bias[:, None, :, None, :]
 
     # Single masked softmax for the entire batch.  Every row — padded

@@ -5,13 +5,22 @@ Only what the two paper architectures need: LayerNorm (OPT) and RMSNorm
 layers are pure functions over explicit weight arrays so the model can be
 constructed deterministically from a seed and weights can be shared or
 sharded without hidden state.
+
+Every layer computes in the dtype of its weights, which the constructors
+take (float64 by default).  Random weights are drawn and scaled in
+float32 and cast once, so a float64 model is the exact upcast of the
+float32 one (see ARCHITECTURE.md §16).  Constants stay Python floats: under NumPy 2's
+promotion rules a ``np.float64`` scalar would silently upcast a float32
+array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -40,13 +49,18 @@ class LayerNorm:
     eps: float = 1e-5
 
     @classmethod
-    def identity(cls, dim: int) -> "LayerNorm":
-        return cls(gain=np.ones(dim), bias=np.zeros(dim))
+    def identity(cls, dim: int, dtype: DTypeLike = np.float64) -> "LayerNorm":
+        return cls(gain=np.ones(dim, dtype=dtype), bias=np.zeros(dim, dtype=dtype))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + self.eps) * self.gain + self.bias
+        # The mean is computed once; the variance reuses the centred tensor
+        # and the normalisation scales it in place.
+        centred = x - x.mean(axis=-1, keepdims=True)
+        var = np.einsum("...i,...i->...", centred, centred) / x.shape[-1]
+        centred *= (1.0 / np.sqrt(var + self.eps))[..., None]
+        centred *= self.gain
+        centred += self.bias
+        return centred
 
 
 @dataclass
@@ -57,12 +71,16 @@ class RMSNorm:
     eps: float = 1e-5
 
     @classmethod
-    def identity(cls, dim: int) -> "RMSNorm":
-        return cls(gain=np.ones(dim))
+    def identity(cls, dim: int, dtype: DTypeLike = np.float64) -> "RMSNorm":
+        return cls(gain=np.ones(dim, dtype=dtype))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
-        return x / rms * self.gain
+        # One reduction (the sum of squares, without an ``x * x``
+        # temporary) and one output buffer scaled in place.
+        mean_sq = np.einsum("...i,...i->...", x, x) / x.shape[-1]
+        out = x * (1.0 / np.sqrt(mean_sq + self.eps))[..., None]
+        out *= self.gain
+        return out
 
 
 @dataclass
@@ -80,13 +98,16 @@ class Linear:
         out_dim: int,
         with_bias: bool = True,
         scale: float = 0.0,
+        dtype: DTypeLike = np.float64,
     ) -> "Linear":
-        """Gaussian init scaled for unit-variance activations."""
+        """Gaussian init scaled for unit-variance activations, drawn and
+        scaled in float32, then cast once to ``dtype``."""
         if scale == 0.0:
-            scale = 1.0 / np.sqrt(in_dim)
-        weight = rng.standard_normal((in_dim, out_dim)) * scale
-        bias = np.zeros(out_dim) if with_bias else None
-        return cls(weight=weight, bias=bias)
+            scale = 1.0 / math.sqrt(in_dim)
+        weight = rng.standard_normal((in_dim, out_dim), dtype=np.float32)
+        weight *= scale
+        bias = np.zeros(out_dim, dtype=dtype) if with_bias else None
+        return cls(weight=weight.astype(dtype, copy=False), bias=bias)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = x @ self.weight
@@ -103,10 +124,16 @@ class OptMlp:
     down: Linear
 
     @classmethod
-    def init(cls, rng: np.random.Generator, hidden: int, intermediate: int) -> "OptMlp":
+    def init(
+        cls,
+        rng: np.random.Generator,
+        hidden: int,
+        intermediate: int,
+        dtype: DTypeLike = np.float64,
+    ) -> "OptMlp":
         return cls(
-            up=Linear.init(rng, hidden, intermediate),
-            down=Linear.init(rng, intermediate, hidden),
+            up=Linear.init(rng, hidden, intermediate, dtype=dtype),
+            down=Linear.init(rng, intermediate, hidden, dtype=dtype),
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -123,12 +150,19 @@ class SwiGluMlp:
 
     @classmethod
     def init(
-        cls, rng: np.random.Generator, hidden: int, intermediate: int
+        cls,
+        rng: np.random.Generator,
+        hidden: int,
+        intermediate: int,
+        dtype: DTypeLike = np.float64,
     ) -> "SwiGluMlp":
+        def proj(in_dim: int, out_dim: int) -> Linear:
+            return Linear.init(rng, in_dim, out_dim, with_bias=False, dtype=dtype)
+
         return cls(
-            gate=Linear.init(rng, hidden, intermediate, with_bias=False),
-            up=Linear.init(rng, hidden, intermediate, with_bias=False),
-            down=Linear.init(rng, intermediate, hidden, with_bias=False),
+            gate=proj(hidden, intermediate),
+            up=proj(hidden, intermediate),
+            down=proj(intermediate, hidden),
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

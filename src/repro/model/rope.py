@@ -10,7 +10,10 @@ Pensieve reuse KV-tokens across requests without re-rotation.
 The sin/cos tables depend only on ``(head_dim, base)`` and the largest
 position ever seen, so they are cached at module level and grown on demand
 rather than rebuilt (``np.outer`` + trig) on every :func:`apply_rope` call
-— the tables are read every layer of every forward pass.
+— the tables are read every layer of every forward pass.  They are
+computed in float64 and served in the input's dtype, so a float32 model
+rotates in float32 (ARCHITECTURE.md §16); each dtype's copy is cached
+beside the float64 master.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
-#: Module-level sin/cos tables keyed by ``(head_dim, base)``; each value
-#: is ``(cos, sin)`` of shape ``[max_position + 1, head_dim // 2]``.
+#: Module-level float64 sin/cos tables keyed by ``(head_dim, base)``; each
+#: value is ``(cos, sin)`` of shape ``[max_position + 1, head_dim // 2]``.
 _TABLE_CACHE: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
+
+#: Copies of the ``_TABLE_CACHE`` entries in other dtypes, keyed by
+#: ``(head_dim, base, dtype)``; rebuilt whenever their master grows.
+_CAST_CACHE: Dict[Tuple[int, float, np.dtype], Tuple[np.ndarray, np.ndarray]] = {}
 
 #: Initial table height; tables double until they cover the request.
 _MIN_TABLE = 256
@@ -38,17 +46,23 @@ def rope_frequencies(head_dim: int, base: float = 10000.0) -> np.ndarray:
 def clear_rope_cache() -> None:
     """Drop all cached sin/cos tables (test isolation hook)."""
     _TABLE_CACHE.clear()
+    _CAST_CACHE.clear()
 
 
 def rope_tables(
-    head_dim: int, base: float = 10000.0, max_position: int = 0
+    head_dim: int,
+    base: float = 10000.0,
+    max_position: int = 0,
+    dtype: DTypeLike = np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cached ``(cos, sin)`` tables covering positions ``[0, max_position]``.
 
     Tables are grown geometrically: a request beyond the current height
     rebuilds the entry at at least double its size, so amortised cost per
-    call is O(1).  Entries are keyed by ``(head_dim, base)``.  The returned
-    arrays are shared — callers must not write to them.
+    call is O(1).  Entries are keyed by ``(head_dim, base)``; a non-float64
+    ``dtype`` is served from a cast of that float64 entry, made once per
+    table height.  The returned arrays are shared — callers must not write
+    to them.
     """
     key = (head_dim, float(base))
     entry = _TABLE_CACHE.get(key)
@@ -60,7 +74,15 @@ def rope_tables(
         angles = np.arange(height)[:, None].astype(np.float64) * freqs[None, :]
         entry = (np.cos(angles), np.sin(angles))
         _TABLE_CACHE[key] = entry
-    return entry
+    dtype = np.dtype(dtype)
+    if dtype == entry[0].dtype:
+        return entry
+    cast_key = (head_dim, float(base), dtype)
+    cast = _CAST_CACHE.get(cast_key)
+    if cast is None or cast[0].shape[0] != entry[0].shape[0]:
+        cast = (entry[0].astype(dtype), entry[1].astype(dtype))
+        _CAST_CACHE[cast_key] = cast
+    return cast
 
 
 def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
@@ -72,7 +94,7 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         base: RoPE frequency base.
 
     Returns:
-        The rotated tensor (same shape; input not modified).
+        The rotated tensor (same shape and dtype; input not modified).
     """
     if x.ndim != 3:
         raise ValueError(f"x must be [tokens, heads, head_dim], got {x.shape}")
@@ -86,7 +108,9 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         and int(positions.min()) >= 0
     ):
         max_position = int(positions.max())
-        cos_table, sin_table = rope_tables(x.shape[-1], base, max_position)
+        cos_table, sin_table = rope_tables(
+            x.shape[-1], base, max_position, x.dtype
+        )
         cos = cos_table[positions][:, None, :]  # [t, 1, dim/2]
         sin = sin_table[positions][:, None, :]
     else:
@@ -94,8 +118,8 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         # table only covers whole non-negative token positions.
         freqs = rope_frequencies(x.shape[-1], base)  # [dim/2]
         angles = positions[:, None].astype(np.float64) * freqs[None, :]
-        cos = np.cos(angles)[:, None, :]
-        sin = np.sin(angles)[:, None, :]
+        cos = np.cos(angles).astype(x.dtype, copy=False)[:, None, :]
+        sin = np.sin(angles).astype(x.dtype, copy=False)[:, None, :]
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]
     out = np.empty_like(x)

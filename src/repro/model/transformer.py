@@ -42,6 +42,13 @@ from repro.model.config import ModelConfig
 from repro.model.layers import LayerNorm, Linear, OptMlp, RMSNorm, SwiGluMlp
 from repro.model.rope import apply_rope
 
+#: Declared absolute tolerance of a float32 model's logits against the
+#: float64 oracle built from the same seed, whose weights are the exact
+#: upcast of the float32 ones.  The worst measured gap on the tiny OPT and
+#: Llama presets, over 8 seeds of two prefills plus 30 decode steps, was
+#: 4.6e-7 (ARCHITECTURE.md §16); the bound leaves about 4x headroom.
+FLOAT32_LOGIT_ATOL = 2e-6
+
 
 @dataclass
 class ForwardRequest:
@@ -211,6 +218,15 @@ class _LayerWeights:
 class PagedTransformer:
     """Decoder-only transformer executing over a paged KV storage.
 
+    The model computes in its storage's dtype (``storage.k.dtype``):
+    weights, embeddings, activations, RoPE tables and attention all take
+    it, so no product mixes precisions.  The server's float32 default
+    mirrors Pensieve serving one reduced-precision dtype end to end; a
+    float64 storage gives the oracle model, whose weights are the exact
+    upcast of the float32 model's for the same seed (both are drawn in
+    float32).  ARCHITECTURE.md §16 records the rule and the declared
+    float32 tolerance.
+
     Args:
         config: model hyper-parameters (use the tiny presets for tests).
         storage: slot-indexed K/V arrays shared with the cache manager.
@@ -250,38 +266,50 @@ class PagedTransformer:
         self.decode_cache: Optional[PackedDecodeCache] = (
             PackedDecodeCache() if (packing_cache and use_fast_paths) else None
         )
+        dtype = storage.k.dtype
         rng = np.random.default_rng(seed)
         h = config.hidden_size
         kv = config.kv_dim
-        self.embedding = rng.standard_normal((config.vocab_size, h)) * 0.02
+        with_bias = config.arch == "opt"
+
+        def embedding_table(rows: int) -> np.ndarray:
+            table = rng.standard_normal((rows, h), dtype=np.float32)
+            table *= 0.02
+            return table.astype(dtype, copy=False)
+
+        def proj(out_dim: int) -> Linear:
+            return Linear.init(rng, h, out_dim, with_bias=with_bias, dtype=dtype)
+
+        self.embedding = embedding_table(config.vocab_size)
         if config.arch == "opt":
-            self.pos_embedding = rng.standard_normal((config.max_position, h)) * 0.02
+            self.pos_embedding = embedding_table(config.max_position)
         else:
             self.pos_embedding = None
         self.layers: List[_LayerWeights] = []
-        with_bias = config.arch == "opt"
         for _ in range(config.num_layers):
             if config.arch == "opt":
-                attn_norm: object = LayerNorm.identity(h)
-                mlp_norm: object = LayerNorm.identity(h)
-                mlp: object = OptMlp.init(rng, h, config.intermediate_size)
+                attn_norm: object = LayerNorm.identity(h, dtype)
+                mlp_norm: object = LayerNorm.identity(h, dtype)
+                mlp: object = OptMlp.init(rng, h, config.intermediate_size, dtype)
             else:
-                attn_norm = RMSNorm.identity(h)
-                mlp_norm = RMSNorm.identity(h)
-                mlp = SwiGluMlp.init(rng, h, config.intermediate_size)
+                attn_norm = RMSNorm.identity(h, dtype)
+                mlp_norm = RMSNorm.identity(h, dtype)
+                mlp = SwiGluMlp.init(rng, h, config.intermediate_size, dtype)
             self.layers.append(
                 _LayerWeights(
                     attn_norm=attn_norm,
-                    q_proj=Linear.init(rng, h, h, with_bias=with_bias),
-                    k_proj=Linear.init(rng, h, kv, with_bias=with_bias),
-                    v_proj=Linear.init(rng, h, kv, with_bias=with_bias),
-                    o_proj=Linear.init(rng, h, h, with_bias=with_bias),
+                    q_proj=proj(h),
+                    k_proj=proj(kv),
+                    v_proj=proj(kv),
+                    o_proj=proj(h),
                     mlp_norm=mlp_norm,
                     mlp=mlp,
                 )
             )
         self.final_norm = (
-            LayerNorm.identity(h) if config.arch == "opt" else RMSNorm.identity(h)
+            LayerNorm.identity(h, dtype)
+            if config.arch == "opt"
+            else RMSNorm.identity(h, dtype)
         )
         self.lm_head = self.embedding.T  # weight tying
 

@@ -9,13 +9,19 @@ produces logits identical to a stateless from-scratch run.
 import numpy as np
 import pytest
 
-from repro.kvcache import KVStorage
+from repro.kernels import DecodeSlotSource
+from repro.kvcache import BlockTable, KVStorage, PagePool
 from repro.model import tiny_llama_config, tiny_opt_config
-from repro.model.transformer import ForwardRequest, PagedTransformer
+from repro.model.transformer import (
+    FLOAT32_LOGIT_ATOL,
+    ForwardRequest,
+    PagedTransformer,
+)
 
 
 def make_model(config, num_slots=256, seed=0):
-    storage = KVStorage(config, num_slots=num_slots)
+    # The float64 oracle: every logit check below holds to 1e-9.
+    storage = KVStorage(config, num_slots=num_slots, dtype=np.float64)
     return PagedTransformer(config, storage, seed=seed), storage
 
 
@@ -258,3 +264,104 @@ class TestValidation:
         storage = KVStorage(opt, num_slots=16)
         with pytest.raises(ValueError):
             PagedTransformer(llama, storage)
+
+
+def model_arrays(model):
+    """Every weight array of ``model``, in a fixed order."""
+    arrays = [model.embedding]
+    if model.pos_embedding is not None:
+        arrays.append(model.pos_embedding)
+    norms = [model.final_norm]
+    linears = []
+    for w in model.layers:
+        norms += [w.attn_norm, w.mlp_norm]
+        linears += [w.q_proj, w.k_proj, w.v_proj, w.o_proj]
+        linears += [getattr(w.mlp, name) for name in ("gate", "up", "down")
+                    if hasattr(w.mlp, name)]
+    for norm in norms:
+        arrays.append(norm.gain)
+        if getattr(norm, "bias", None) is not None:
+            arrays.append(norm.bias)
+    for linear in linears:
+        arrays.append(linear.weight)
+        if linear.bias is not None:
+            arrays.append(linear.bias)
+    return arrays
+
+
+class TestFloat32AgainstOracle:
+    """The model computes in its storage's dtype.  The same seed on float32
+    storage and on the float64 oracle gives weights that agree exactly
+    after the upcast and logits within the declared float32 tolerance."""
+
+    @staticmethod
+    def pair(config, seed=0, num_slots=256):
+        models = {}
+        for dtype in (np.float32, np.float64):
+            storage = KVStorage(config, num_slots=num_slots, dtype=dtype)
+            models[dtype] = PagedTransformer(config, storage, seed=seed)
+        return models[np.float32], models[np.float64]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_weights_are_the_exact_upcast(self, config, seed):
+        f32, f64 = self.pair(config, seed)
+        arrays32, arrays64 = model_arrays(f32), model_arrays(f64)
+        assert len(arrays32) == len(arrays64) > config.num_layers * 4
+        for a, b in zip(arrays32, arrays64):
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            np.testing.assert_array_equal(a.astype(np.float64), b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_logits_within_declared_tolerance(self, config, seed):
+        """Two prefills, then packed decode steps, then a mixed batch with
+        a recomputed dropped prefix."""
+        f32, f64 = self.pair(config, seed)
+        rng = np.random.default_rng(seed)
+        pool = PagePool(64, 4)
+        tables = [BlockTable(pool), BlockTable(pool)]
+        batch = []
+        for table, n in zip(tables, (11, 17)):
+            table.append_tokens(n)
+            batch.append(
+                ForwardRequest(
+                    input_ids=rng.integers(0, config.vocab_size, size=n),
+                    context_slots=table.slots_array(0, n),
+                )
+            )
+        batches = [batch]
+        for _ in range(12):
+            step = []
+            for key, table in enumerate(tables):
+                table.append_tokens(1)
+                step.append(
+                    ForwardRequest(
+                        input_ids=rng.integers(0, config.vocab_size, size=1),
+                        context_slots=None,
+                        slot_view=DecodeSlotSource(key=key, table=table),
+                    )
+                )
+            batches.append(step)
+        # Recompute split: the first 4 tokens of conversation 0 re-run
+        # beside a 3-token prompt; conversation 1 decodes alongside.
+        for table in tables:
+            table.append_tokens(3 if table is tables[0] else 1)
+        prompt = rng.integers(0, config.vocab_size, size=3)
+        batches.append(
+            [
+                ForwardRequest(
+                    input_ids=np.concatenate([batch[0].input_ids[:4], prompt]),
+                    context_slots=tables[0].slots_array(0, tables[0].length),
+                    dropped=4,
+                ),
+                ForwardRequest(
+                    input_ids=rng.integers(0, config.vocab_size, size=1),
+                    context_slots=tables[1].slots_array(0, tables[1].length),
+                ),
+            ]
+        )
+        for step in batches:
+            for got, want in zip(f32.forward(step), f64.forward(step)):
+                assert got.dtype == np.float32 and want.dtype == np.float64
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=FLOAT32_LOGIT_ATOL
+                )

@@ -17,6 +17,12 @@ from repro.model.transformer import ForwardRequest, PagedTransformer
 TOL = dict(rtol=1e-9, atol=1e-9)
 
 
+def oracle_storage(config, num_slots):
+    """Float64 storage: the model computes in its storage's dtype, and
+    the 1e-9 checks below are float64 oracle checks."""
+    return KVStorage(config, num_slots=num_slots, dtype=np.float64)
+
+
 @pytest.fixture(params=["opt", "llama"])
 def config(request):
     if request.param == "opt":
@@ -27,10 +33,10 @@ def config(request):
 def paired_models(config, num_slots=256, seed=0):
     """Two identically-seeded models, fast paths on vs off."""
     fast = PagedTransformer(
-        config, KVStorage(config, num_slots=num_slots), seed=seed
+        config, oracle_storage(config, num_slots), seed=seed
     )
     reference = PagedTransformer(
-        config, KVStorage(config, num_slots=num_slots), seed=seed,
+        config, oracle_storage(config, num_slots), seed=seed,
         use_fast_paths=False,
     )
     assert fast.use_fast_paths and not reference.use_fast_paths
@@ -155,11 +161,9 @@ class TestFastPathEquivalence:
         """Flipping use_fast_paths between steps never changes results —
         the two paths share the same cache layout."""
         rng = np.random.default_rng(5)
-        storage = KVStorage(config, num_slots=64)
+        storage = oracle_storage(config, 64)
         model = PagedTransformer(config, storage, seed=0)
-        mirror = PagedTransformer(
-            config, KVStorage(config, num_slots=64), seed=0
-        )
+        mirror = PagedTransformer(config, oracle_storage(config, 64), seed=0)
         history = 0
         for i, turn_len in enumerate((5, 1, 1, 2)):
             ids = rng.integers(0, config.vocab_size, size=turn_len)
